@@ -1,13 +1,14 @@
 // Micro-benchmarks (google-benchmark): throughput of the hot components —
 // the patch-stitching solver (batch and incremental), the per-arrival repack
 // loop of Algorithm 2 (from-scratch vs. StitchSession), adaptive frame
-// partitioning, GMM background subtraction, the event queue, and the latency
-// estimator lookup.
+// partitioning, GMM background subtraction, the event queue, the latency
+// estimator lookup, and the saturated platform's backlog drain.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <vector>
 
@@ -336,6 +337,46 @@ void BM_DispatchPath(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * patches_per_window);
 }
 BENCHMARK(BM_DispatchPath)->Arg(16)->Arg(64);
+
+// A saturated platform: `range(0)` requests stay backlogged behind an 8-slot
+// fleet while each completion resubmits one request to its own pool (a
+// closed loop), so every timed step is one completion plus the backlog drain
+// it triggers.  `range(1)` = 1 puts everything on the default pool; 3 spreads
+// it over three capped pools, so drains also pass blocked pools' heads.
+void BM_PlatformSaturatedDrain(benchmark::State& state) {
+  const int backlog = static_cast<int>(state.range(0));
+  const int pools = static_cast<int>(state.range(1));
+  sim::Simulator sim;
+  serverless::PlatformConfig pconfig;
+  pconfig.max_instances = 8;
+  pconfig.cold_start_s = 0.0;
+  if (pools > 1) {
+    pconfig.pools.push_back({"a", 2, 4});
+    pconfig.pools.push_back({"b", 1, 3});
+    pconfig.pools.push_back({"c", 0, 2});
+  }
+  serverless::FunctionPlatform platform(sim, pconfig);
+  serverless::RequestSpec spec;
+  spec.num_canvases = 1;
+  std::uint64_t completed = 0;
+  std::function<void(int)> submit = [&](int pool) {
+    platform.invoke(spec, pool,
+                    [&submit, &completed](
+                        const serverless::InvocationRecord& record) {
+                      ++completed;
+                      submit(record.pool);
+                    });
+  };
+  const int first_pool = pools > 1 ? 1 : 0;
+  for (int i = 0; i < pconfig.max_instances + backlog; ++i)
+    submit(first_pool + i % pools);
+  for (auto _ : state) sim.step();
+  if (platform.queued_requests() != static_cast<std::size_t>(backlog))
+    state.SkipWithError("backlog depth drifted");
+  benchmark::DoNotOptimize(completed);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PlatformSaturatedDrain)->ArgsProduct({{256, 4096}, {1, 3}});
 
 }  // namespace
 

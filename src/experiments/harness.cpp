@@ -1,5 +1,6 @@
 #include "experiments/harness.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -50,6 +51,22 @@ core::TangramSystem::Config system_config_of(const MultiStreamConfig& config) {
   system_config.profiled_estimator = config.profiled_estimator;
   system_config.seed = config.seed;
   return system_config;
+}
+
+// The patch an uplink delivers, rebuilt at delivery from the frame record it
+// was cut from.  Delivery callbacks capture (frame, index, id, capture)
+// rather than a whole Patch: a captured Patch overflows the simulator's
+// 64-byte inline event storage and costs a heap allocation per patch.
+core::Patch uplinked_patch(const FrameRecord& frame, std::uint32_t index,
+                           std::uint64_t id, int camera, double capture) {
+  core::Patch patch;
+  patch.id = id;
+  patch.camera_id = camera;
+  patch.frame_index = frame.frame_index;
+  patch.region = frame.patches[index];
+  patch.generation_time = capture;
+  patch.bytes = frame.patch_bytes[index];
+  return patch;
 }
 
 }  // namespace
@@ -169,21 +186,22 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
         // Clipper, MArk) consume the same Algorithm-1 patch stream; the
         // ELF-system encode (elf_patch_bytes) only enters the Fig. 9
         // bandwidth study via per_frame_cost().
+        const double slo = cam < config.per_camera_slo.size()
+                               ? config.per_camera_slo[cam]
+                               : config.slo_s;
         for (std::size_t p = 0; p < frame.patches.size(); ++p) {
           const std::size_t bytes = frame.patch_bytes[p];
           result.total_bytes += bytes;
-          core::Patch patch;
-          patch.id = next_patch_id++;
-          patch.camera_id = static_cast<int>(cam);
-          patch.frame_index = frame.frame_index;
-          patch.region = frame.patches[p];
-          patch.generation_time = capture;
-          patch.slo = cam < config.per_camera_slo.size()
-                          ? config.per_camera_slo[cam]
-                          : config.slo_s;
-          patch.bytes = bytes;
-          link_of(cam).send(bytes,
-                            [&, patch] { strategy->on_patch(patch); });
+          const std::uint64_t id = next_patch_id++;
+          const auto index = static_cast<std::uint32_t>(p);
+          const auto camera = static_cast<int>(cam);
+          link_of(cam).send(bytes, [&strategy, &frame, index, camera, id,
+                                    capture, slo] {
+            core::Patch patch =
+                uplinked_patch(frame, index, id, camera, capture);
+            patch.slo = slo;
+            strategy->on_patch(patch);
+          });
         }
       });
     }
@@ -322,19 +340,21 @@ MultiStreamResult run_multistream(const std::vector<const SceneTrace*>& cameras,
                                static_cast<double>(i) * frame_interval;
         const FrameRecord& frame = trace.eval_frame(i);
         for (std::size_t p = 0; p < frame.patches.size(); ++p) {
-          core::Patch patch;
-          patch.id = next_patch_id++;
-          patch.camera_id = static_cast<int>(cam);
-          patch.frame_index = frame.frame_index;
-          patch.region = frame.patches[p];
-          patch.generation_time = capture;
-          patch.bytes = frame.patch_bytes[p];
-          // Non-drifting runs leave patch.slo alone — the system stamps the
-          // stream's registered class exactly as before.
-          if (drifting) patch.slo = patch_slo(cam, capture);
+          const std::uint64_t id = next_patch_id++;
           ++result.patches_sent;
-          links[cam]->send(patch.bytes, [&, cam, patch] {
-            system.receive_patch(streams[cam], patch);
+          const auto index = static_cast<std::uint32_t>(p);
+          const auto camera = static_cast<int>(cam);
+          links[cam]->send(frame.patch_bytes[p], [&system, &patch_slo, &frame,
+                                                  stream = streams[cam], camera,
+                                                  index, drifting, id,
+                                                  capture] {
+            core::Patch patch =
+                uplinked_patch(frame, index, id, camera, capture);
+            // Non-drifting runs leave patch.slo alone — the system stamps the
+            // stream's registered class exactly as before.
+            if (drifting)
+              patch.slo = patch_slo(static_cast<std::size_t>(camera), capture);
+            system.receive_patch(stream, patch);
           });
         }
         if (i + 1 < trace.eval_frame_count()) {

@@ -167,7 +167,7 @@ PoolTelemetry FunctionPlatform::pool_telemetry(int pool) const {
   t.peak_in_use = p.peak_in_use;
   t.dispatched = p.dispatched;
   t.cold_starts = p.cold_starts;
-  t.backlogged = p.backlogged;
+  t.backlogged = p.backlog.size();
   t.backlog_depth = p.backlog_depth;
   t.series = p.series;
   t.demand_history = p.demand_history;
@@ -267,14 +267,16 @@ TANGRAM_HOT_PATH void FunctionPlatform::invoke_on_pool(const RequestSpec& spec,
   Pending pending{spec, std::move(on_complete), sim_.now(), pool};
   Pool& p = pools_[static_cast<std::size_t>(pool)];
   // FIFO: a new arrival never jumps ahead of its pool's waiting requests.
-  // The backlogged check matters at completion timestamps — an arrival
+  // The empty-queue check matters at completion timestamps — an arrival
   // sequenced before the completion's drain callback would otherwise see
   // the freed instance and dispatch past the backlog head.
-  if (p.backlogged > 0 || !pool_has_capacity(pool)) {
-    ++p.backlogged;
-    p.backlog_depth.add(static_cast<double>(p.backlogged));
-    // reserve: backlog keeps its high-water capacity across drains
-    backlog_.push_back(std::move(pending));
+  if (!p.backlog.empty() || !pool_has_capacity(pool)) {
+    pending.seq = next_seq_++;
+    // reserve: none needed — a deque grows block by block and never
+    // relocates the entries already queued
+    p.backlog.push_back(std::move(pending));
+    ++queued_;
+    p.backlog_depth.add(static_cast<double>(p.backlog.size()));
     note_demand_peak(p);
     return;
   }
@@ -285,7 +287,7 @@ TANGRAM_HOT_PATH void FunctionPlatform::invoke_on_pool(const RequestSpec& spec,
 void FunctionPlatform::note_demand_peak(Pool& pool) {
   if (!config_.autoscale.forecasting()) return;
   const double demand = static_cast<double>(pool.in_use - pool.prewarming) +
-                        static_cast<double>(pool.backlogged);
+                        static_cast<double>(pool.backlog.size());
   pool.demand_peak = std::max(pool.demand_peak, demand);
 }
 
@@ -320,25 +322,30 @@ TANGRAM_HOT_PATH void FunctionPlatform::dispatch(Pending pending) {
 }
 
 TANGRAM_HOT_PATH void FunctionPlatform::drain_backlog() {
-  if (backlog_.empty()) return;
-  // Strict FIFO within each pool: once a pool's head entry cannot start,
-  // every later entry of that pool stays queued this round; other pools'
-  // entries keep draining past it.
+  if (queued_ == 0) return;
   drain_scratch_.assign(pools_.size(), 0);
-  std::size_t write = 0;
-  for (std::size_t read = 0; read < backlog_.size(); ++read) {
-    Pending& entry = backlog_[read];
-    const auto pool = static_cast<std::size_t>(entry.pool);
-    if (drain_scratch_[pool] == 0 && pool_has_capacity(entry.pool)) {
-      --pools_[pool].backlogged;
-      dispatch(std::move(entry));
+  const std::size_t none = pools_.size();
+  for (;;) {
+    // The oldest head among pools with a queue not yet blocked this round.
+    std::size_t oldest = none;
+    for (std::size_t i = 0; i < pools_.size(); ++i) {
+      const std::deque<Pending>& queue = pools_[i].backlog;
+      if (drain_scratch_[i] != 0 || queue.empty()) continue;
+      if (oldest == none ||
+          queue.front().seq < pools_[oldest].backlog.front().seq)
+        oldest = i;
+    }
+    if (oldest == none) return;
+    if (!pool_has_capacity(static_cast<int>(oldest))) {
+      drain_scratch_[oldest] = 1;  // FIFO: its later entries wait too
       continue;
     }
-    drain_scratch_[pool] = 1;
-    if (write != read) backlog_[write] = std::move(entry);
-    ++write;
+    std::deque<Pending>& queue = pools_[oldest].backlog;
+    Pending next = std::move(queue.front());
+    queue.pop_front();
+    --queued_;
+    dispatch(std::move(next));
   }
-  backlog_.resize(write);
 }
 
 TANGRAM_HOT_PATH void FunctionPlatform::start_on_instance(int instance,
@@ -471,7 +478,7 @@ int FunctionPlatform::autoscale_decision(const Pool& pool) const {
       const double utilization = static_cast<double>(pool.in_use) /
                                  static_cast<double>(std::max(1, limit));
       if (utilization >= policy.scale_up_utilization ||
-          pool.backlogged > 0) {
+          !pool.backlog.empty()) {
         limit += policy.step;
       } else if (utilization <= policy.scale_down_utilization) {
         limit -= policy.step;
@@ -479,9 +486,9 @@ int FunctionPlatform::autoscale_decision(const Pool& pool) const {
       break;
     }
     case AutoscalePolicy::Kind::kQueuePressure: {
-      if (pool.backlogged >= policy.backlog_scale_up) {
+      if (pool.backlog.size() >= policy.backlog_scale_up) {
         limit += policy.step;
-      } else if (pool.backlogged == 0 && pool.in_use < limit) {
+      } else if (pool.backlog.empty() && pool.in_use < limit) {
         limit -= policy.step;
       }
       break;
@@ -507,7 +514,7 @@ double FunctionPlatform::observe_and_forecast(Pool& pool) {
   // into itself.
   const double now_demand =
       static_cast<double>(pool.in_use - pool.prewarming) +
-      static_cast<double>(pool.backlogged);
+      static_cast<double>(pool.backlog.size());
   const double demand = std::max(pool.demand_peak, now_demand);
   pool.demand_peak = now_demand;  // the level carries into the next span
   pool.demand_history.push_back(demand);
@@ -641,11 +648,11 @@ void FunctionPlatform::autoscale_tick() {
     limits_moved |= next != pool.limit;
     pool.limit = next;
     pool.series.push_back(AutoscaleSample{sim_.now(), pool.in_use, pool.limit,
-                                          pool.backlogged,
+                                          pool.backlog.size(),
                                           pool.cold_starts});
   }
   // Raised limits may unblock waiting requests.
-  const std::size_t backlog_before = backlog_.size();
+  const std::size_t backlog_before = queued_;
   drain_backlog();
   // Pre-warm AFTER the drain: booting borrows pool concurrency, and queued
   // work must never wait a setup period behind a boot it could have
@@ -676,9 +683,8 @@ void FunctionPlatform::autoscale_tick() {
       predicts_demand |=
           !pool.forecast_history.empty() &&
           static_cast<int>(std::ceil(pool.forecast_history.back() - 1e-9)) > 0;
-  const bool progressed = limits_moved || backlog_.size() != backlog_before;
-  if (total_in_use_ > 0 || predicts_demand ||
-      (!backlog_.empty() && progressed))
+  const bool progressed = limits_moved || queued_ != backlog_before;
+  if (total_in_use_ > 0 || predicts_demand || (queued_ > 0 && progressed))
     autoscale_timer_ =
         sim_.schedule_in(config_.autoscale.interval_s, [this] {
           autoscale_tick();

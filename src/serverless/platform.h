@@ -29,14 +29,19 @@
 //
 // Queueing conventions (FIFO, no queue-jumping):
 //  * A request that cannot start — its pool is at its limit, blocked by
-//    other pools' unmet reservations, or the fleet is saturated — joins the
-//    backlog.  A request whose pool already has backlogged requests ALSO
-//    joins, even if capacity is momentarily free: an arrival at the same
-//    simulated timestamp as a completion (but sequenced before the
-//    completion's drain callback) must not jump the queue ahead of older
+//    other pools' unmet reservations, or the fleet is saturated — joins its
+//    pool's backlog queue.  A request whose pool already has backlogged
+//    requests ALSO joins, even if capacity is momentarily free: an arrival
+//    at the same simulated timestamp as a completion (but sequenced before
+//    the completion's drain callback) must not jump the queue ahead of older
 //    waiting requests.
-//  * The backlog drains strictly FIFO within each pool; a pool blocked at
-//    the head of the queue never blocks another pool's older requests.
+//  * Each pool's queue drains strictly FIFO.  Across pools, a drain visits
+//    the queue heads in platform-wide arrival order: the oldest head of a
+//    pool not yet blocked this round is tried next, and a pool whose head
+//    cannot start is skipped for the rest of the round — it never blocks
+//    another pool's requests, older or younger.  A drain costs O(pools) per
+//    dispatched request (plus O(pools) per pool it blocks), independent of
+//    how deep the backlog is.
 //
 // Billing conventions: `execution_s` is billed GPU time only — cold-start
 // `setup_s` seconds (and cold-spike inflation) delay `start_time` but are
@@ -405,7 +410,7 @@ class FunctionPlatform {
   [[nodiscard]] const common::Sampler& cold_start_setup() const {
     return cold_start_setup_;
   }
-  [[nodiscard]] std::size_t queued_requests() const { return backlog_.size(); }
+  [[nodiscard]] std::size_t queued_requests() const { return queued_; }
   [[nodiscard]] const common::Sampler& execution_latency() const {
     return execution_latency_;
   }
@@ -427,6 +432,9 @@ class FunctionPlatform {
     Callback callback;
     double submit_time;
     int pool;
+    // Platform-wide arrival order, stamped when the request joins its pool's
+    // queue; drain_backlog() merges the per-pool queues by it.
+    std::uint64_t seq = 0;
   };
   struct Pool {
     std::string name;
@@ -438,14 +446,14 @@ class FunctionPlatform {
     int peak_in_use = 0;
     std::uint64_t dispatched = 0;
     std::uint64_t cold_starts = 0;
-    std::size_t backlogged = 0;  // entries of this pool inside backlog_
+    std::deque<Pending> backlog;  // this pool's waiting requests, FIFO
     common::Sampler backlog_depth;
     std::vector<AutoscaleSample> series;
     // Forecast-driven provisioning state (forecast kinds only).
     int prewarming = 0;  // instances booting ahead of demand right now
     std::uint64_t prewarm_boots = 0;
     double prewarm_cost = 0.0;
-    // High-watermark of (in_use - prewarming) + backlogged since the last
+    // High-watermark of (in_use - prewarming) + backlog size since the last
     // observation, maintained at arrivals: sampling demand only at tick
     // instants aliases away bursts shorter than the tick interval, and the
     // resulting under-forecast throttles the limit, which suppresses the
@@ -467,7 +475,7 @@ class FunctionPlatform {
 
   void invoke_on_pool(const RequestSpec& spec, int pool, Callback on_complete);
   // True if a request for `pool` could start immediately.  Ignores the
-  // backlog: callers must keep FIFO by checking pool.backlogged first.
+  // pool's queue: callers keep FIFO by checking that it is empty first.
   [[nodiscard]] bool pool_has_capacity(int pool) const {
     return pool_headroom(pool) > 0;
   }
@@ -483,8 +491,12 @@ class FunctionPlatform {
   // drain the backlog.  The slot is released before the callback so
   // re-entrant invokes reuse it.
   void finish_invocation(std::uint32_t slot);
-  // Dispatch backlogged requests, strictly FIFO within each pool; a pool
-  // without capacity never blocks another pool's entries.
+  // Dispatch backlogged requests: repeatedly take the oldest (lowest seq)
+  // head among the non-empty pools not yet blocked this round, dispatch it
+  // if its pool has capacity, otherwise mark the pool blocked.  Dispatching
+  // only ever lowers other pools' headroom, so a blocked pool stays blocked
+  // for the round, and this visits heads in exactly the order a scan of one
+  // arrival-ordered backlog would.  O(pools) per dispatched or blocked head.
   void drain_backlog();
   int find_idle_warm_instance();
   int find_cooled_slot() const;
@@ -517,7 +529,8 @@ class FunctionPlatform {
   common::Rng fault_rng_;
   std::vector<Instance> instances_;
   std::vector<Pool> pools_;  // pools_[0] is the default pool
-  std::deque<Pending> backlog_;
+  std::size_t queued_ = 0;      // sum of every pool's backlog size
+  std::uint64_t next_seq_ = 0;  // next Pending::seq
   std::vector<char> drain_scratch_;  // per-pool blocked flags during drain
   std::vector<Completion> completions_;        // slot pool (see Completion)
   std::vector<std::uint32_t> completion_free_;

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/system.h"
 #include "serverless/platform.h"
 
@@ -366,6 +371,141 @@ TEST(Autoscale, LimitNeverDropsBelowReservation) {
       platform.pool_telemetry(platform.pool_index("tight"));
   for (const auto& s : tele.series) EXPECT_GE(s.limit, 3);
   EXPECT_GE(tele.limit, 3);
+}
+
+// --- multi-pool drain order --------------------------------------------------
+
+std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+template <typename T>
+std::uint64_t fnv1a_field(std::uint64_t h, const T& value) {
+  return fnv1a_bytes(h, &value, sizeof(value));
+}
+
+struct DrainRun {
+  std::uint64_t hash = 1469598103934665603ull;
+  std::size_t submitted = 0;
+  std::size_t completed = 0;
+  std::size_t peak_queued = 0;
+  std::size_t peak_pools_waiting = 0;  // pools with a backlog at once
+  std::uint64_t prewarm_boots = 0;
+};
+
+// Seeded bursts over four pools (default + three reserved/capped pools) at
+// shared timestamps, with every seventh completion re-entrantly submitting a
+// follow-up: the backlog holds several pools at once and drains under
+// reservations, burst caps and moving limits.  Hashes the full completion
+// stream and checks, at every completion, per-pool FIFO dispatch order and
+// queued_requests() == sum of per-pool backlogs.
+void drive_multi_pool_backlog(AutoscalePolicy policy, DrainRun& run) {
+  sim::Simulator sim;
+  PlatformConfig config = base_config();
+  config.max_instances = 10;
+  config.cold_start_s = 0.3;
+  config.keepalive_s = 0.4;  // cools between bursts: pre-warm has work
+  config.pools.push_back({"tight", 3, 5, 2});
+  config.pools.push_back({"mid", 2, 6});
+  config.pools.push_back({"bulk", 0, 4, 0});
+  config.autoscale = policy;
+  FunctionPlatform platform(sim, config, LatencyModelParams{}, /*seed=*/11);
+
+  common::Rng rng(2024, 3);
+  // Submission sequence and pool of each dispatched request, by record id.
+  std::vector<std::pair<std::int64_t, int>> seq_of_id;
+
+  std::function<void(int, int)> submit = [&](int pool, int batch) {
+    const auto seq = static_cast<std::int64_t>(run.submitted++);
+    platform.invoke(canvases(batch), pool, [&, seq](const InvocationRecord& r) {
+      std::uint64_t h = run.hash;
+      h = fnv1a_field(h, r.id);
+      h = fnv1a_field(h, r.pool);
+      h = fnv1a_field(h, r.submit_time);
+      h = fnv1a_field(h, r.start_time);
+      h = fnv1a_field(h, r.finish_time);
+      h = fnv1a_field(h, r.instance_id);
+      h = fnv1a_field(h, static_cast<unsigned char>(r.cold_start));
+      run.hash = h;
+      if (seq_of_id.size() <= r.id) seq_of_id.resize(r.id + 1, {-1, -1});
+      seq_of_id[r.id] = {seq, r.pool};
+
+      std::size_t backlogged = 0;
+      std::size_t pools_waiting = 0;
+      for (std::size_t i = 0; i < platform.pool_count(); ++i) {
+        const std::size_t n =
+            platform.pool_telemetry(static_cast<int>(i)).backlogged;
+        backlogged += n;
+        pools_waiting += n > 0 ? 1 : 0;
+      }
+      EXPECT_EQ(platform.queued_requests(), backlogged) << "at id " << r.id;
+      run.peak_queued = std::max(run.peak_queued, platform.queued_requests());
+      run.peak_pools_waiting = std::max(run.peak_pools_waiting, pools_waiting);
+
+      if (++run.completed % 7 == 0)
+        submit(static_cast<int>(run.completed / 7 % 4), 1 + r.pool % 3);
+    });
+  };
+
+  double t = 0.0;
+  for (int burst = 0; burst < 40; ++burst) {
+    // A lull mid-run: instances cool, and the forecaster re-warms them
+    // ahead of the next wave.
+    t += rng.uniform(0.0, 0.35) + (burst == 20 ? 0.8 : 0.0);
+    const int size = rng.uniform_int(3, 14);
+    std::vector<std::pair<int, int>> requests;
+    for (int k = 0; k < size; ++k)
+      requests.emplace_back(rng.uniform_int(0, 3), rng.uniform_int(1, 4));
+    // Two same-timestamp events per burst, so arrivals also interleave with
+    // completions landing on the shared instant.
+    const std::size_t half = requests.size() / 2;
+    sim.schedule_at(t, [&submit, requests, half] {
+      for (std::size_t k = 0; k < half; ++k)
+        submit(requests[k].first, requests[k].second);
+    });
+    sim.schedule_at(t, [&submit, requests, half] {
+      for (std::size_t k = half; k < requests.size(); ++k)
+        submit(requests[k].first, requests[k].second);
+    });
+  }
+  sim.run();
+
+  // Per-pool FIFO: walking dispatch order (record id), each pool's
+  // submission sequence only increases.
+  std::vector<std::int64_t> last_seq(platform.pool_count(), -1);
+  for (const auto& [seq, pool] : seq_of_id) {
+    ASSERT_GE(pool, 0) << "a dispatched request never completed";
+    EXPECT_GT(seq, last_seq[static_cast<std::size_t>(pool)])
+        << "pool " << pool << " dispatched out of FIFO order";
+    last_seq[static_cast<std::size_t>(pool)] = seq;
+  }
+  run.prewarm_boots = platform.prewarm_boots();
+}
+
+TEST(CapacityPool, MultiPoolBacklogDrainOrderIsPinned) {
+  AutoscalePolicy pressure = AutoscalePolicy::queue_pressure(
+      /*backlog_high=*/2, /*interval_s=*/0.2, /*initial_limit=*/1);
+  AutoscalePolicy forecast = AutoscalePolicy::windowed_max(
+      /*window=*/4, /*interval_s=*/0.25, /*initial_limit=*/1);
+  forecast.prewarm = true;
+  DrainRun a;
+  DrainRun b;
+  drive_multi_pool_backlog(pressure, a);
+  drive_multi_pool_backlog(forecast, b);
+  for (const DrainRun* run : {&a, &b}) {
+    EXPECT_EQ(run->completed, run->submitted);
+    EXPECT_GE(run->peak_queued, 10u);
+    EXPECT_GE(run->peak_pools_waiting, 3u);
+  }
+  EXPECT_GT(b.prewarm_boots, 0u);
+  // Captured on the shared-backlog scan that preceded per-pool queues.
+  EXPECT_EQ(a.hash, 0x35561f5a54ce3c47ull);
+  EXPECT_EQ(b.hash, 0x3480efe3a9acf212ull);
 }
 
 }  // namespace

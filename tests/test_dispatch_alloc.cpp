@@ -11,6 +11,10 @@
 // Hashes were captured on the pre-recycling tree (PR 7) for a fleet config
 // distinct from test_rebalance's (scene 47, 16 streams, 8 instances,
 // reserved tight pool), at jobs 1 and 8, plus the reservoir-telemetry mode.
+//
+// Suite 3 counts allocations across a whole run_multistream() run: the
+// harness's per-patch uplink delivery must stay inside the simulator's
+// inline event storage.
 
 #include <gtest/gtest.h>
 
@@ -221,6 +225,29 @@ TEST(DispatchAlloc, RecycledBatchPathIsByteIdenticalWithReservoirTelemetry) {
   const auto direct = experiments::run_multistream(g.fleet, g.config);
   EXPECT_EQ(fnv1a(experiments::deterministic_json(direct)),
             kGoldenReservoirDirect);
+}
+
+// --- suite 3: whole-run allocations through the harness ---------------------
+
+// The harness delivers every uplinked patch as a simulator event.  A delivery
+// callback that outgrows the event's inline storage costs one heap
+// allocation per patch, which would put this ratio above 1 on its own; what
+// remains is start-up growth (system construction, per-stream links and
+// telemetry reservoirs, freelists) spread over the run.
+TEST(DispatchAlloc, HarnessPatchDeliveryDoesNotAllocatePerPatch) {
+  GoldenFleet g;
+  g.fleet.assign(64, &g.trace);
+  g.config.per_stream_slo.clear();
+  g.config.telemetry_reservoir = 64;
+  g.config.profiled_estimator = experiments::profile_estimator(g.config);
+  const common::AllocationProbe probe;
+  const auto result = experiments::run_multistream(g.fleet, g.config);
+  const std::size_t allocations = probe.allocations();
+  ASSERT_GT(result.patches_sent, 1000u);
+  const double per_patch = static_cast<double>(allocations) /
+                           static_cast<double>(result.patches_sent);
+  EXPECT_LT(per_patch, 0.5) << allocations << " allocations for "
+                            << result.patches_sent << " patches";
 }
 
 }  // namespace
