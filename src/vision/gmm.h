@@ -31,6 +31,12 @@ struct GmmParams {
 
 class GmmBackgroundSubtractor {
  public:
+  struct Gaussian {
+    float weight;
+    float mean;
+    float variance;
+  };
+
   GmmBackgroundSubtractor(common::Size frame, GmmParams params = {});
 
   // Update the model with `frame` and return its foreground mask
@@ -40,13 +46,13 @@ class GmmBackgroundSubtractor {
   [[nodiscard]] const GmmParams& params() const { return params_; }
   [[nodiscard]] common::Size frame_size() const { return size_; }
   [[nodiscard]] std::size_t frames_seen() const { return frames_seen_; }
+  // The model: K components per pixel, pixels in raster order, each pixel's
+  // components in descending weight order.
+  [[nodiscard]] const std::vector<Gaussian>& mixtures() const {
+    return mixtures_;
+  }
 
  private:
-  struct Gaussian {
-    float weight;
-    float mean;
-    float variance;
-  };
 
   // Classify + update a single pixel; returns true if foreground.
   bool process_pixel(std::size_t px, double value);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace tangram::vision {
@@ -113,6 +118,230 @@ TEST(Gmm, RejectsBadParams) {
   EXPECT_THROW(GmmBackgroundSubtractor({64, 48}, params),
                std::invalid_argument);
   EXPECT_THROW(GmmBackgroundSubtractor({0, 48}), std::invalid_argument);
+}
+
+
+// --- reference equivalence ---------------------------------------------------
+//
+// A verbatim copy of the original one-pixel-at-a-time update (runtime K,
+// std::sort of the mixture) that the specialised kernel replaced.  The kernel
+// must reproduce its masks and its model byte for byte for every K and every
+// parameter set.  Masks alone are a weak check: a one-ulp weight difference
+// (say, multiplying by 1/wsum instead of dividing) flips a mask pixel only
+// hundreds of frames later, if ever.  `ties` counts sorts that met two
+// distinct components of equal positive weight, so the test can prove the
+// stable tie-break was exercised.
+class ReferenceGmm {
+ public:
+  ReferenceGmm(common::Size frame, GmmParams params)
+      : size_(frame), params_(params) {
+    mixtures_.assign(static_cast<std::size_t>(frame.area()) *
+                         static_cast<std::size_t>(params_.num_gaussians),
+                     Gaussian{0.0f, 0.0f, 0.0f});
+  }
+
+  video::Mask apply(const video::Image& frame) {
+    video::Mask fg(size_.width, size_.height, 0);
+    const std::uint8_t* src = frame.data();
+    std::uint8_t* dst = fg.data();
+    const auto n = static_cast<std::size_t>(size_.area());
+    if (frames_seen_ == 0) {
+      for (std::size_t px = 0; px < n; ++px) {
+        Gaussian* mix =
+            &mixtures_[px * static_cast<std::size_t>(params_.num_gaussians)];
+        mix[0] = Gaussian{1.0f, static_cast<float>(src[px]),
+                          static_cast<float>(params_.initial_variance)};
+      }
+    } else {
+      for (std::size_t px = 0; px < n; ++px)
+        dst[px] = process_pixel(px, static_cast<double>(src[px])) ? 255 : 0;
+    }
+    ++frames_seen_;
+    return fg;
+  }
+
+  using Gaussian = GmmBackgroundSubtractor::Gaussian;
+  [[nodiscard]] const std::vector<Gaussian>& mixtures() const {
+    return mixtures_;
+  }
+
+  std::size_t ties = 0;
+
+ private:
+
+  bool process_pixel(std::size_t px, double value) {
+    const int k = params_.num_gaussians;
+    Gaussian* mix = &mixtures_[px * static_cast<std::size_t>(k)];
+    const auto alpha = static_cast<float>(params_.learning_rate);
+
+    int matched = -1;
+    for (int i = 0; i < k; ++i) {
+      if (mix[i].weight <= 0.0f) break;
+      const double d = value - mix[i].mean;
+      if (d * d <= params_.match_threshold * mix[i].variance) {
+        matched = i;
+        break;
+      }
+    }
+
+    if (matched >= 0) {
+      Gaussian& g = mix[matched];
+      const double rho = alpha;
+      const double d = value - g.mean;
+      g.mean += static_cast<float>(rho * d);
+      g.variance += static_cast<float>(rho * (d * d - g.variance));
+      g.variance =
+          std::max(g.variance, static_cast<float>(params_.min_variance));
+      for (int i = 0; i < k; ++i) {
+        if (mix[i].weight <= 0.0f) break;
+        mix[i].weight +=
+            alpha * ((i == matched ? 1.0f : 0.0f) - mix[i].weight);
+      }
+    } else {
+      int weakest = 0;
+      for (int i = 1; i < k; ++i)
+        if (mix[i].weight < mix[weakest].weight) weakest = i;
+      mix[weakest] = Gaussian{static_cast<float>(params_.initial_weight),
+                              static_cast<float>(value),
+                              static_cast<float>(params_.initial_variance)};
+    }
+
+    float wsum = 0.0f;
+    for (int i = 0; i < k; ++i) wsum += std::max(0.0f, mix[i].weight);
+    if (wsum > 0.0f)
+      for (int i = 0; i < k; ++i) mix[i].weight /= wsum;
+    for (int i = 0; i < k; ++i)
+      for (int j = i + 1; j < k; ++j)
+        if (mix[i].weight > 0.0f && mix[i].weight == mix[j].weight &&
+            (mix[i].mean != mix[j].mean ||
+             mix[i].variance != mix[j].variance))
+          ++ties;
+    std::sort(mix, mix + k, [](const Gaussian& a, const Gaussian& b) {
+      return a.weight > b.weight;
+    });
+
+    float acc = 0.0f;
+    for (int i = 0; i < k; ++i) {
+      if (mix[i].weight <= 0.0f) break;
+      acc += mix[i].weight;
+      const double d = value - mix[i].mean;
+      if (d * d <= params_.match_threshold * mix[i].variance) return false;
+      if (acc >= params_.background_ratio) break;
+    }
+    return true;
+  }
+
+  common::Size size_;
+  GmmParams params_;
+  std::vector<Gaussian> mixtures_;
+  std::size_t frames_seen_ = 0;
+};
+
+// Random parameters over the whole usable range.  A `tie_prone` draw takes
+// its initial weight from {1, 1/2, 1/4}: replacing a component then
+// renormalises to exactly equal weights, which is what exposes an unstable
+// ordering.
+GmmParams random_params(common::Rng& rng, int k, bool tie_prone) {
+  GmmParams p;
+  p.num_gaussians = k;
+  p.learning_rate = rng.bernoulli(0.2) ? rng.uniform(0.3, 1.0)
+                                       : rng.uniform(0.001, 0.3);
+  p.initial_variance = rng.uniform(4.0, 400.0);
+  p.min_variance = rng.uniform(0.5, 30.0);
+  p.match_threshold = rng.uniform(0.5, 25.0);
+  p.background_ratio = rng.uniform(0.2, 1.0);
+  static constexpr std::array<double, 3> kTieProne{1.0, 0.5, 0.25};
+  p.initial_weight =
+      tie_prone ? kTieProne[static_cast<std::size_t>(rng.uniform_int(0, 2))]
+                : rng.uniform(0.001, 0.9);
+  return p;
+}
+
+// A frame sequence with per-pixel noise, rectangles that step to a new level
+// and hold for a while, bimodal flicker, and saturated 0/255 pixels.
+class RandomFrames {
+ public:
+  RandomFrames(common::Rng& rng, common::Size size)
+      : rng_(rng), base_(size.width, size.height) {
+    for (std::size_t p = 0; p < base_.pixel_count(); ++p)
+      base_.data()[p] = static_cast<std::uint8_t>(rng_.uniform_int(0, 255));
+    noise_ = rng_.uniform(0.0, 12.0);
+  }
+
+  video::Image next() {
+    if (hold_ == 0) {
+      step_ = {rng_.uniform_int(0, base_.width() - 1),
+               rng_.uniform_int(0, base_.height() - 1),
+               rng_.uniform_int(1, base_.width()),
+               rng_.uniform_int(1, base_.height())};
+      step_level_ = rng_.uniform_int(0, 255);
+      hold_ = rng_.uniform_int(1, 12);
+    }
+    --hold_;
+    video::Image img = base_;
+    for (int y = 0; y < img.height(); ++y)
+      for (int x = 0; x < img.width(); ++x) {
+        double v = img.at(x, y);
+        if (step_.contains({x, y})) v = step_level_;
+        if ((x + y) % 7 == 0 && rng_.bernoulli(0.5)) v = 255.0 - v;
+        v += rng_.normal(0.0, noise_);
+        const double u = rng_.uniform();
+        if (u < 0.02) {
+          v = 0.0;
+        } else if (u < 0.04) {
+          v = 255.0;
+        }
+        img.at(x, y) = static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
+      }
+    return img;
+  }
+
+ private:
+  common::Rng& rng_;
+  video::Image base_;
+  double noise_ = 0.0;
+  common::Rect step_;
+  int step_level_ = 0;
+  int hold_ = 0;
+};
+
+// Bitwise, so a -0.0f/+0.0f or NaN-payload difference also counts.
+bool same_model(const std::vector<GmmBackgroundSubtractor::Gaussian>& a,
+                const std::vector<GmmBackgroundSubtractor::Gaussian>& b) {
+  static_assert(sizeof(GmmBackgroundSubtractor::Gaussian) == 3 * sizeof(float));
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(),
+                     a.size() * sizeof(GmmBackgroundSubtractor::Gaussian)) == 0;
+}
+
+TEST(GmmReference, MasksAndModelMatchReferenceForEveryK) {
+  const common::Size size{37, 23};  // odd sizes: no lucky alignment
+  constexpr int kFrames = 64;
+  constexpr int kParamSets = 8;
+  for (const int k : {1, 2, 3, 4, 5, 8}) {
+    std::size_t ties = 0;
+    for (int set = 0; set < kParamSets; ++set) {
+      common::Rng rng(static_cast<std::uint64_t>(1000 * k + set));
+      const GmmParams params = random_params(rng, k, set % 2 == 0);
+      GmmBackgroundSubtractor gmm(size, params);
+      ReferenceGmm reference(size, params);
+      RandomFrames frames(rng, size);
+      for (int f = 0; f < kFrames; ++f) {
+        const video::Image img = frames.next();
+        const video::Mask got = gmm.apply(img);
+        const video::Mask want = reference.apply(img);
+        ASSERT_TRUE(std::equal(got.data(), got.data() + got.pixel_count(),
+                               want.data()))
+            << "K=" << k << " set=" << set << " frame=" << f;
+        ASSERT_TRUE(same_model(gmm.mixtures(), reference.mixtures()))
+            << "K=" << k << " set=" << set << " frame=" << f;
+      }
+      ties += reference.ties;
+    }
+    if (k > 1) {
+      EXPECT_GT(ties, 0u) << "K=" << k << " never tied";
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "vision/gmm.h"
+
 namespace tangram::experiments {
 namespace {
 
@@ -98,6 +102,98 @@ TEST(Trace, FinerPartitionsSmallerPatchArea) {
     fine_area += b.eval_frame(i).patch_area_fraction;
   }
   EXPECT_LE(fine_area, coarse_area * 1.05);
+}
+
+
+// --- edge-pipeline goldens ---------------------------------------------------
+//
+// FNV-1a 64 over every frame's extractor and partitioner output, captured
+// before the GMM per-pixel update was specialised.  Any change to the GMM's
+// arithmetic (operation order, float/double promotion, tie-breaking among
+// equal weights) flips a foreground pixel somewhere and moves these.
+
+std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
+  return fnv1a_bytes(h, &v, sizeof(v));
+}
+
+std::uint64_t fnv1a_int(std::uint64_t h, int v) {
+  return fnv1a_u64(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+}
+
+std::uint64_t fnv1a_rects(std::uint64_t h,
+                          const std::vector<common::Rect>& rects) {
+  h = fnv1a_u64(h, rects.size());
+  for (const auto& r : rects) {
+    h = fnv1a_int(h, r.x);
+    h = fnv1a_int(h, r.y);
+    h = fnv1a_int(h, r.width);
+    h = fnv1a_int(h, r.height);
+  }
+  return h;
+}
+
+std::uint64_t trace_hash(const SceneTrace& trace) {
+  std::uint64_t h = 1469598103934665603ull;
+  h = fnv1a_u64(h, trace.frames.size());
+  for (const auto& f : trace.frames) {
+    h = fnv1a_int(h, f.frame_index);
+    h = fnv1a_rects(h, f.rois);
+    h = fnv1a_rects(h, f.patches);
+    h = fnv1a_u64(h, f.patch_bytes.size());
+    for (const auto b : f.patch_bytes) h = fnv1a_u64(h, b);
+    h = fnv1a_u64(h, f.full_frame_bytes);
+    h = fnv1a_u64(h, f.masked_frame_bytes);
+  }
+  return h;
+}
+
+TEST(TraceGolden, TestScenesAtSmallAnalysisSize) {
+  EXPECT_EQ(trace_hash(build_trace(video::test_scene(3), small_config())),
+            0x282720d5f65668d1ull);
+  EXPECT_EQ(trace_hash(build_trace(video::test_scene(5), small_config())),
+            0xe7f83cebba626112ull);
+}
+
+TEST(TraceGolden, TestSceneAtDefaultAnalysisSize) {
+  EXPECT_EQ(trace_hash(build_trace(video::test_scene(13))),
+            0x83161ddb240ca950ull);
+}
+
+TEST(TraceGolden, CatalogScenes) {
+  // Scene 5 whole; scene 1 (the densest Fig. 12 camera) cut to 60 frames.
+  EXPECT_EQ(trace_hash(build_trace(video::panda4k_scene(5), small_config())),
+            0xa23a422876606262ull);
+  auto canteen = video::panda4k_scene(1);
+  canteen.total_frames = 60;
+  EXPECT_EQ(trace_hash(build_trace(canteen, small_config())),
+            0x6af2f2b080747ed0ull);
+}
+
+TEST(TraceGolden, RawGmmMasks) {
+  const auto spec = video::test_scene(5);
+  video::SyntheticScene scene(spec);
+  video::RasterConfig raster = small_config().raster;
+  video::FrameRasterizer rasterizer(spec.frame, raster);
+  vision::GmmBackgroundSubtractor gmm(raster.analysis);
+  std::uint64_t h = 1469598103934665603ull;
+  std::size_t foreground = 0;
+  for (int f = 0; f < spec.total_frames; ++f) {
+    const video::Mask fg = gmm.apply(rasterizer.render(scene.next_frame()));
+    h = fnv1a_bytes(h, fg.data(), fg.pixel_count());
+    for (std::size_t p = 0; p < fg.pixel_count(); ++p)
+      foreground += fg.data()[p] ? 1 : 0;
+  }
+  EXPECT_GT(foreground, 0u);
+  EXPECT_EQ(h, 0xb505bfe0b7e981deull);
 }
 
 }  // namespace
