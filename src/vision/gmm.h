@@ -9,6 +9,30 @@
 //
 // Reference: Stauffer & Grimson, "Adaptive background mixture models for
 // real-time tracking", CVPR 1999.
+//
+// Kernel structure.  apply() picks the per-pixel update once per frame: a
+// K = 3 instantiation (the default, and the one every trace uses) or a
+// generic one for any K in 1..8.  Parameters are read once per frame and the
+// components are kept in descending weight order by a fixed-size stable
+// ordering instead of std::sort.  The mixture stays array-of-structs
+// ({weight, mean, variance} per component, K components per pixel): a
+// branch-free structure-of-arrays version measured slower as scalar code,
+// and the compiler does not vectorise it because control flow remains.
+//
+// Bit-exactness contract.  Every foreground mask and every mixture value is
+// byte-identical to the original one-pixel-at-a-time update, which
+// tests/test_gmm.cpp keeps verbatim as a reference (tests/test_trace.cpp pins
+// the resulting traces):
+//   * operation order and promotions are fixed: distances and the mean and
+//     variance increments are computed in double, then cast to float and
+//     added in float; weights are updated, summed and divided (never
+//     multiplied by a reciprocal) in float;
+//   * equal weights keep their current order (the insertion sort libstdc++'s
+//     std::sort runs on ranges this short is stable);
+//   * no -ffast-math and no FMA contraction.  The top-level CMakeLists.txt
+//     passes -ffp-contract=off, because GCC contracts a*b+c into one
+//     fused multiply-add (one rounding instead of two) whenever -march
+//     enables FMA, even under -std=c++20.
 
 #pragma once
 
@@ -53,9 +77,6 @@ class GmmBackgroundSubtractor {
   }
 
  private:
-
-  // Classify + update a single pixel; returns true if foreground.
-  bool process_pixel(std::size_t px, double value);
 
   common::Size size_;
   GmmParams params_;
