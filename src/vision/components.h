@@ -16,7 +16,8 @@ struct ComponentParams {
   int merge_gap_px = 2;       // merge boxes whose gap is below this
 };
 
-// In-place binary dilation with a (2r+1)x(2r+1) square structuring element.
+// Binary dilation with a (2r+1)x(2r+1) square structuring element; returns a
+// new mask and leaves `mask` untouched.
 [[nodiscard]] video::Mask dilate(const video::Mask& mask, int radius);
 
 // 4-connected component labeling; returns each component's bounding box and

@@ -120,7 +120,6 @@ TEST(Gmm, RejectsBadParams) {
   EXPECT_THROW(GmmBackgroundSubtractor({0, 48}), std::invalid_argument);
 }
 
-
 // --- reference equivalence ---------------------------------------------------
 //
 // A verbatim copy of the original one-pixel-at-a-time update (runtime K,
@@ -133,6 +132,8 @@ TEST(Gmm, RejectsBadParams) {
 // stable tie-break was exercised.
 class ReferenceGmm {
  public:
+  using Gaussian = GmmBackgroundSubtractor::Gaussian;
+
   ReferenceGmm(common::Size frame, GmmParams params)
       : size_(frame), params_(params) {
     mixtures_.assign(static_cast<std::size_t>(frame.area()) *
@@ -160,7 +161,6 @@ class ReferenceGmm {
     return fg;
   }
 
-  using Gaussian = GmmBackgroundSubtractor::Gaussian;
   [[nodiscard]] const std::vector<Gaussian>& mixtures() const {
     return mixtures_;
   }
@@ -168,7 +168,6 @@ class ReferenceGmm {
   std::size_t ties = 0;
 
  private:
-
   bool process_pixel(std::size_t px, double value) {
     const int k = params_.num_gaussians;
     Gaussian* mix = &mixtures_[px * static_cast<std::size_t>(k)];
