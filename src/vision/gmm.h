@@ -77,7 +77,6 @@ class GmmBackgroundSubtractor {
   }
 
  private:
-
   common::Size size_;
   GmmParams params_;
   std::vector<Gaussian> mixtures_;  // size = pixels * K
