@@ -1,15 +1,18 @@
 // Micro-benchmarks (google-benchmark): throughput of the hot components —
 // the patch-stitching solver (batch and incremental), the per-arrival repack
 // loop of Algorithm 2 (from-scratch vs. StitchSession), adaptive frame
-// partitioning, GMM background subtraction, the event queue, the latency
-// estimator lookup, and the saturated platform's backlog drain.
+// partitioning, GMM background subtraction, blob extraction, the event
+// queue, the latency estimator lookup, and the saturated platform's backlog
+// drain.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "common/alloc_probe.h"
@@ -23,6 +26,7 @@
 #include "sim/simulator.h"
 #include "video/raster.h"
 #include "video/scene_catalog.h"
+#include "vision/components.h"
 #include "vision/gmm.h"
 
 // Global allocation tally for BM_DispatchPath's allocs_per_patch counter
@@ -145,6 +149,44 @@ void BM_GmmApply(benchmark::State& state) {
                           raster_config.analysis.area());
 }
 BENCHMARK(BM_GmmApply)->Arg(320)->Arg(480)->Arg(960);
+
+// Dilate + label + box merge on real GMM foreground masks (480x270 analysis
+// frames of a rendered test scene), so the foreground density is the edge
+// pipeline's, not a synthetic one.
+void BM_ExtractBlobs(benchmark::State& state) {
+  auto spec = video::test_scene(5);
+  spec.frame = {1920, 1080};
+  video::SyntheticScene scene(spec);
+  video::RasterConfig raster_config;
+  raster_config.analysis = {480, 270};
+  video::FrameRasterizer rasterizer(spec.frame, raster_config);
+  vision::GmmBackgroundSubtractor gmm(raster_config.analysis);
+
+  std::vector<video::Mask> masks;
+  std::size_t foreground = 0;
+  for (int i = 0; i < 48; ++i) {
+    auto mask = gmm.apply(rasterizer.render(scene.next_frame()));
+    if (i < 16) continue;  // let the model settle
+    foreground += static_cast<std::size_t>(
+        std::count_if(mask.data(), mask.data() + mask.pixel_count(),
+                      [](std::uint8_t v) { return v != 0; }));
+    masks.push_back(std::move(mask));
+  }
+  const vision::ComponentParams params;
+
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto blobs = vision::extract_blobs(masks[i % masks.size()], params);
+    benchmark::DoNotOptimize(blobs.data());
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          raster_config.analysis.area());
+  state.counters["fg_frac"] =
+      static_cast<double>(foreground) /
+      static_cast<double>(masks.size() * masks.front().pixel_count());
+}
+BENCHMARK(BM_ExtractBlobs);
 
 void BM_EventQueue(benchmark::State& state) {
   for (auto _ : state) {

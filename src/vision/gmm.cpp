@@ -1,6 +1,7 @@
 #include "vision/gmm.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -60,9 +61,31 @@ void update(const GmmParams& params, Gaussian* mix, const std::uint8_t* src,
   const auto min_variance = static_cast<float>(params.min_variance);
   const auto initial_weight = static_cast<float>(params.initial_weight);
   const auto initial_variance = static_cast<float>(params.initial_variance);
+  // The lone-component shortcut below needs alpha * 0 == 0.
+  const bool lone_exact = std::isfinite(alpha);
 
   for (std::size_t px = 0; px < n; ++px, mix += k) {
     const auto value = static_cast<double>(src[px]);
+
+    // 0. Lone component (weight exactly 1, the others <= 0 and in order)
+    //    that matches: steps 2a-4 reduce to the mean/variance update and one
+    //    background test, with the same operations in the same order.  See
+    //    gmm.h for why this is exact.
+    if constexpr (K == 3) {
+      if (lone_exact && mix[0].weight == 1.0f && mix[1].weight <= 0.0f &&
+          !(mix[2].weight > mix[1].weight)) {
+        Gaussian& g = mix[0];
+        const double d = value - g.mean;
+        if (d * d <= threshold * g.variance) {
+          g.mean += static_cast<float>(rho * d);
+          g.variance += static_cast<float>(rho * (d * d - g.variance));
+          g.variance = std::max(g.variance, min_variance);
+          const double e = value - g.mean;
+          dst[px] = e * e <= threshold * g.variance ? 0 : 255;
+          continue;
+        }
+      }
+    }
 
     // 1. First matching component, in descending-weight order.
     int matched = -1;

@@ -343,5 +343,55 @@ TEST(GmmReference, MasksAndModelMatchReferenceForEveryK) {
   }
 }
 
+// The K = 3 kernel's lone-component shortcut (weight exactly 1, the others
+// <= 0) must leave masks and model byte-equal to the reference.  A static
+// scene keeps most pixels in that state, long enough for the variance to
+// decay onto its floor; a step over part of the frame drives those pixels
+// out of it (misses, then two-component mixtures) and the static tail takes
+// them back through the general path.
+TEST(GmmReference, LoneComponentShortcutMatchesReference) {
+  const common::Size size{61, 45};
+  const common::Rect step{13, 9, 24, 17};
+  constexpr int kStepBegin = 150, kStepEnd = 180, kFrames = 240;
+  for (const double initial_weight : {GmmParams{}.initial_weight, 1.0}) {
+    GmmParams params;
+    params.initial_weight = initial_weight;
+    GmmBackgroundSubtractor gmm(size, params);
+    ReferenceGmm reference(size, params);
+    common::Rng rng(77);
+    std::size_t lone = 0, pixel_frames = 0, foreground = 0;
+    for (int f = 0; f < kFrames; ++f) {
+      video::Image img(size.width, size.height);
+      for (int y = 0; y < size.height; ++y)
+        for (int x = 0; x < size.width; ++x) {
+          double v = 90.0 + x + rng.normal(0.0, 2.0);
+          if (f >= kStepBegin && f < kStepEnd && step.contains({x, y}))
+            v += 70.0;
+          img.at(x, y) = static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
+        }
+      const video::Mask got = gmm.apply(img);
+      const video::Mask want = reference.apply(img);
+      ASSERT_TRUE(std::equal(got.data(), got.data() + got.pixel_count(),
+                             want.data()))
+          << "initial_weight=" << initial_weight << " frame=" << f;
+      ASSERT_TRUE(same_model(gmm.mixtures(), reference.mixtures()))
+          << "initial_weight=" << initial_weight << " frame=" << f;
+      foreground += static_cast<std::size_t>(
+          std::count(got.data(), got.data() + got.pixel_count(), 255));
+      const auto& mix = gmm.mixtures();
+      for (std::size_t i = 0; i < mix.size(); i += 3, ++pixel_frames)
+        if (mix[i].weight == 1.0f && mix[i + 1].weight <= 0.0f &&
+            !(mix[i + 2].weight > mix[i + 1].weight))
+          ++lone;
+    }
+    // The step region is 15% of the frame; everything else stays lone.
+    EXPECT_GT(lone, pixel_frames * 3 / 4)
+        << "initial_weight=" << initial_weight;
+    EXPECT_LT(lone, pixel_frames) << "initial_weight=" << initial_weight;
+    EXPECT_GE(foreground, static_cast<std::size_t>(step.area()))
+        << "initial_weight=" << initial_weight;
+  }
+}
+
 }  // namespace
 }  // namespace tangram::vision
