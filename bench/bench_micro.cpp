@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -126,29 +127,77 @@ void BM_PartitionFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_PartitionFrame)->Arg(16)->Arg(128)->Arg(1024);
 
-void BM_GmmApply(benchmark::State& state) {
-  auto spec = video::test_scene(5);
-  spec.frame = {1920, 1080};
+// GMM throughput on the frames the edge pass really sees: catalog scene 5
+// rendered exactly as build_trace renders it, at an analysis width of
+// range(0).  The first kSettle frames only warm the model up; the timed loop
+// then feeds the remaining frames in capture order, and on wrap rebuilds and
+// re-settles the subtractor outside the timed region, so every timed frame
+// meets the model state it meets in a trace.  lone_frac is the share of timed
+// pixel-frames whose model is in the K = 3 kernel's lone-component state
+// (see gmm.h) before the update.  BM_GmmApply runs the kernel apply()
+// picks for this CPU; BM_GmmApplyScalarKernel forces the portable scalar
+// K = 3 kernel, which CPUs without AVX2 run.
+void run_gmm_apply(benchmark::State& state,
+                   std::optional<vision::detail::GmmKernel> kernel) {
+  constexpr std::size_t kSettle = 16;
+  const video::SceneSpec spec = video::panda4k_scene(5);
   video::SyntheticScene scene(spec);
   video::RasterConfig raster_config;
+  raster_config.seed ^= spec.seed * 0x9E3779B97F4A7C15ULL;
   raster_config.analysis = {static_cast<int>(state.range(0)),
                             static_cast<int>(state.range(0)) * 9 / 16};
   video::FrameRasterizer rasterizer(spec.frame, raster_config);
-  vision::GmmBackgroundSubtractor gmm(raster_config.analysis);
-
   std::vector<video::Image> frames;
-  for (int i = 0; i < 8; ++i) frames.push_back(rasterizer.render(scene.next_frame()));
+  frames.reserve(static_cast<std::size_t>(spec.total_frames));
+  for (int i = 0; i < spec.total_frames; ++i)
+    frames.push_back(rasterizer.render(scene.next_frame()));
 
-  std::size_t i = 0;
+  const auto settled = [&] {
+    vision::GmmBackgroundSubtractor gmm(raster_config.analysis);
+    for (std::size_t f = 0; f < kSettle; ++f) (void)gmm.apply(frames[f]);
+    return gmm;
+  };
+
+  std::size_t lone = 0, pixel_frames = 0;
+  {
+    vision::GmmBackgroundSubtractor gmm = settled();
+    for (std::size_t f = kSettle; f < frames.size(); ++f) {
+      const auto mix = gmm.mixtures();
+      for (std::size_t i = 0; i < mix.size(); i += 3, ++pixel_frames)
+        if (mix[i].weight == 1.0f && mix[i + 1].weight <= 0.0f &&
+            !(mix[i + 2].weight > mix[i + 1].weight))
+          ++lone;
+      (void)gmm.apply(frames[f]);
+    }
+  }
+
+  vision::GmmBackgroundSubtractor gmm = settled();
+  std::size_t f = kSettle;
   for (auto _ : state) {
-    auto mask = gmm.apply(frames[i % frames.size()]);
+    if (f == frames.size()) {
+      state.PauseTiming();
+      gmm = settled();
+      f = kSettle;
+      state.ResumeTiming();
+    }
+    auto mask = kernel
+                    ? vision::detail::gmm_apply_with(gmm, frames[f++], *kernel)
+                    : gmm.apply(frames[f++]);
     benchmark::DoNotOptimize(mask.data());
-    ++i;
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           raster_config.analysis.area());
+  state.counters["lone_frac"] =
+      static_cast<double>(lone) / static_cast<double>(pixel_frames);
 }
+void BM_GmmApply(benchmark::State& state) { run_gmm_apply(state, {}); }
 BENCHMARK(BM_GmmApply)->Arg(320)->Arg(480)->Arg(960);
+
+void BM_GmmApplyScalarKernel(benchmark::State& state) {
+  run_gmm_apply(state, vision::detail::GmmKernel::kScalar);
+}
+BENCHMARK(BM_GmmApplyScalarKernel)->Arg(480);
 
 // Dilate + label + box merge on real GMM foreground masks (480x270 analysis
 // frames of a rendered test scene), so the foreground density is the edge

@@ -223,17 +223,24 @@ TANGRAM_HOT_PATH Batch SloAwareInvoker::build_batch() {
   batch.slack_estimate = slack_;
   batch.total_patches = static_cast<int>(queue_.size());
   const auto canvases = static_cast<std::size_t>(session_.canvas_count());
-  // Counting pass: exact per-canvas patch totals, so each recycled canvas
-  // reserves once (growing only past its high-water capacity) and the fill
-  // loop below never reallocates.
+  // Counting pass: exact per-canvas patch totals, so the fill loop below
+  // never reallocates.  A recycled canvas that is too small grows to at
+  // least twice its capacity, so across recycling it reallocates a
+  // logarithmic number of times, like push_back, instead of at every batch
+  // that beats its last count.
   canvas_counts_.assign(canvases, 0);
   for (const Placement& pl : placements_)
     ++canvas_counts_[static_cast<std::size_t>(pl.canvas_index)];
   batch.canvases.reserve(canvases);
   for (std::size_t c = 0; c < canvases; ++c) {
     PackedCanvas canvas = batch_pool_->acquire_canvas();
-    canvas.patches.reserve(canvas_counts_[c]);
-    canvas.positions.reserve(canvas_counts_[c]);
+    const std::size_t count = canvas_counts_[c];
+    if (canvas.patches.capacity() < count) {
+      const std::size_t grown =
+          std::max(count, 2 * canvas.patches.capacity());
+      canvas.patches.reserve(grown);
+      canvas.positions.reserve(grown);
+    }
     canvas.fill = session_.canvas_fill(c);
     // reserve: batch.canvases.reserve(canvases) above sized this exactly
     batch.canvases.push_back(std::move(canvas));
@@ -241,7 +248,7 @@ TANGRAM_HOT_PATH Batch SloAwareInvoker::build_batch() {
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     const Placement& pl = placements_[i];
     auto& canvas = batch.canvases[static_cast<std::size_t>(pl.canvas_index)];
-    // reserve: per-canvas reserve(canvas_counts_[c]) in the loop above
+    // reserve: per-canvas capacity >= canvas_counts_[c] from the loop above
     canvas.patches.push_back(queue_[i]);
     canvas.positions.push_back(pl.position);  // reserve: same counting pass
   }

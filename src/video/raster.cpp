@@ -53,8 +53,7 @@ common::Rect FrameRasterizer::to_analysis(const common::Rect& r) const {
   return common::scale_rect(r, sx_, sy_);
 }
 
-std::uint8_t FrameRasterizer::object_shade(int object_id, int px, int py,
-                                           std::uint8_t background) const {
+double FrameRasterizer::object_offset(int object_id) const {
   // Contrast sign and magnitude are deterministic per object.
   const double pick = hash01(static_cast<std::uint64_t>(object_id), 17, 29);
   const double contrast =
@@ -62,14 +61,7 @@ std::uint8_t FrameRasterizer::object_shade(int object_id, int px, int py,
       (config_.max_contrast - config_.min_contrast) *
           hash01(static_cast<std::uint64_t>(object_id), 41, 53);
   const double sign = pick < 0.5 ? -1.0 : 1.0;
-  // Coarse texture: 2x2-pixel blocks of deterministic variation.
-  const double tex =
-      18.0 * (hash01(static_cast<std::uint64_t>(object_id),
-                     static_cast<std::uint64_t>(px / 2),
-                     static_cast<std::uint64_t>(py / 2)) -
-              0.5);
-  const double val = background + sign * contrast + tex;
-  return static_cast<std::uint8_t>(std::clamp(val, 5.0, 250.0));
+  return sign * contrast;
 }
 
 Image FrameRasterizer::render(const FrameTruth& truth) {
@@ -92,13 +84,22 @@ Image FrameRasterizer::render(const FrameTruth& truth) {
     px[i] = static_cast<std::uint8_t>(std::clamp(noisy, 0.0, 255.0));
   }
 
-  // Paint objects (native boxes scaled down to analysis space).
+  // Paint objects (native boxes scaled down to analysis space).  Each pixel
+  // is background + offset + texture, the texture in 2x2-pixel blocks of
+  // deterministic variation.
   for (const auto& obj : truth.objects) {
     const common::Rect r = common::clamp_to(
         to_analysis(obj.box), common::Rect{0, 0, frame.width(), frame.height()});
+    const double offset = object_offset(obj.id);
+    const auto id = static_cast<std::uint64_t>(obj.id);
     for (int y = r.top(); y < r.bottom(); ++y)
-      for (int x = r.left(); x < r.right(); ++x)
-        frame.at(x, y) = object_shade(obj.id, x, y, background_.at(x, y));
+      for (int x = r.left(); x < r.right(); ++x) {
+        const double tex = 18.0 * (hash01(id, static_cast<std::uint64_t>(x / 2),
+                                          static_cast<std::uint64_t>(y / 2)) -
+                                   0.5);
+        const double val = background_.at(x, y) + offset + tex;
+        frame.at(x, y) = static_cast<std::uint8_t>(std::clamp(val, 5.0, 250.0));
+      }
   }
   return frame;
 }

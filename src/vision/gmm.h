@@ -10,14 +10,26 @@
 // Reference: Stauffer & Grimson, "Adaptive background mixture models for
 // real-time tracking", CVPR 1999.
 //
+// Layout.  The model is stored as structure-of-arrays planes, one layout for
+// every K: K weight planes, then K mean planes, then K variance planes, each
+// one float per pixel in raster order.  Plane i of a field holds every
+// pixel's i-th component, and each pixel's components are kept in descending
+// weight order.  mixtures() returns an array-of-structs copy in that order.
+//
 // Kernel structure.  apply() picks the per-pixel update once per frame: a
-// K = 3 instantiation (the default, and the one every trace uses) or a
-// generic one for any K in 1..8.  Parameters are read once per frame and the
-// components are kept in descending weight order by a fixed-size stable
-// ordering instead of std::sort.  The mixture stays array-of-structs
-// ({weight, mean, variance} per component, K components per pixel): a
-// branch-free structure-of-arrays version measured slower as scalar code,
-// and the compiler does not vectorise it because control flow remains.
+// K = 3 kernel (the default, and the one every trace uses) or a generic one
+// for any K in 1..8.  Parameters are read once per frame and the components
+// are kept in descending weight order by a fixed-size stable ordering
+// instead of std::sort.
+//
+// CPU dispatch (K = 3).  On x86-64 CPUs with AVX2 the K = 3 update runs
+// eight pixels at a time in one function compiled for AVX2 (GCC/Clang
+// target attribute; the rest of the build keeps its baseline ISA).  The
+// choice is made once per process with __builtin_cpu_supports("avx2").  The
+// scalar K = 3 kernel runs on other CPUs, in non-x86 builds and on the last
+// n % 8 pixels.  Both produce the same bytes; detail::gmm_apply_with() runs
+// either one on purpose, which is how tests/test_gmm.cpp checks each
+// against the reference.
 //
 // Bit-exactness contract.  Every foreground mask and every mixture value is
 // byte-identical to the original one-pixel-at-a-time update, which
@@ -32,7 +44,27 @@
 //   * no -ffast-math and no FMA contraction.  The top-level CMakeLists.txt
 //     passes -ffp-contract=off, because GCC contracts a*b+c into one
 //     fused multiply-add (one rounding instead of two) whenever -march
-//     enables FMA, even under -std=c++20.
+//     enables FMA, even under -std=c++20.  That covers the intrinsics too.
+// The AVX2 kernel keeps the scalar operation order in every lane:
+//   * per-component steps are lane masks over all eight pixels: the scalar
+//     loop's breaks become "still searching" masks built from !(w <= 0),
+//     which, like the scalar test, keeps NaN weights in the search;
+//   * every compare uses the ordered predicate of the scalar operator
+//     (<, <=, >, >= are false on NaN), and "!(a <= b)" is written as such;
+//   * std::max(v, minv) is blend(v, minv, v < minv) and std::max(0.0f, w) is
+//     (0 < w) ? w : 0, not max_ps, whose NaN and signed-zero rules differ;
+//   * double steps widen each float lane exactly (cvtps_pd) and narrow with
+//     cvtpd_ps, which rounds like a scalar cast; wsum is summed in the
+//     scalar order and divided with div_ps, never an approximate reciprocal;
+//   * the background test's running weight is compared in double, as the
+//     scalar float-vs-double comparison promotes it;
+//   * a step no lane of a block reaches (a later component's match test,
+//     the replacement, the ordering network when no lane's first two
+//     compares hold) is skipped for that block, which changes no lane.
+// Where weights turn NaN (an infinite learning rate), std::sort sees no
+// strict weak order and the original update's order is unspecified; there
+// the scalar K = 3 kernel defines the result, and the AVX2 kernel matches it
+// byte for byte.
 //
 // Lone-component fast path (K = 3).  On a static background most pixels
 // (76.6% of pixel-frames over catalog scenes 1/3/5/7) hold one component of
@@ -50,7 +82,10 @@
 //   * the background test sees weight 1 first, so the pixel is background
 //     iff it matches the updated component 0.
 // The fast path computes exactly those operations in the same double/float
-// order; every other state, and every miss, runs the full update.
+// order; every other state, and every miss, runs the full update.  The AVX2
+// kernel takes it for a block of eight pixels when all eight are lone and
+// match; any other block runs the full update on all eight lanes, which the
+// argument above shows gives lone, matching lanes the same bytes.
 
 #pragma once
 
@@ -71,6 +106,25 @@ struct GmmParams {
   double initial_weight = 0.05;
 };
 
+class GmmBackgroundSubtractor;
+
+namespace detail {
+
+// The K = 3 update implementations apply() chooses between.
+enum class GmmKernel { kScalar, kAvx2 };
+
+// Whether this process can run `kernel` (kAvx2: an x86-64 build on a CPU
+// with AVX2).
+[[nodiscard]] bool gmm_kernel_supported(GmmKernel kernel);
+
+// apply() with the K = 3 update forced to `kernel`, which must be supported.
+// For tests and benchmarks; other K ignore `kernel`.
+[[nodiscard]] video::Mask gmm_apply_with(GmmBackgroundSubtractor& gmm,
+                                         const video::Image& frame,
+                                         GmmKernel kernel);
+
+}  // namespace detail
+
 class GmmBackgroundSubtractor {
  public:
   struct Gaussian {
@@ -88,16 +142,21 @@ class GmmBackgroundSubtractor {
   [[nodiscard]] const GmmParams& params() const { return params_; }
   [[nodiscard]] common::Size frame_size() const { return size_; }
   [[nodiscard]] std::size_t frames_seen() const { return frames_seen_; }
-  // The model: K components per pixel, pixels in raster order, each pixel's
-  // components in descending weight order.
-  [[nodiscard]] const std::vector<Gaussian>& mixtures() const {
-    return mixtures_;
-  }
+  // A copy of the model: K components per pixel, pixels in raster order,
+  // each pixel's components in descending weight order.
+  [[nodiscard]] std::vector<Gaussian> mixtures() const;
 
  private:
+  friend video::Mask detail::gmm_apply_with(GmmBackgroundSubtractor&,
+                                            const video::Image&,
+                                            detail::GmmKernel);
+  [[nodiscard]] video::Mask apply(const video::Image& frame,
+                                  detail::GmmKernel kernel);
+
   common::Size size_;
   GmmParams params_;
-  std::vector<Gaussian> mixtures_;  // size = pixels * K
+  // 3 * K planes of size_.area() floats: weights, means, variances.
+  std::vector<float> planes_;
   std::size_t frames_seen_ = 0;
 };
 

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -390,6 +392,170 @@ TEST(GmmReference, LoneComponentShortcutMatchesReference) {
     EXPECT_LT(lone, pixel_frames) << "initial_weight=" << initial_weight;
     EXPECT_GE(foreground, static_cast<std::size_t>(step.area()))
         << "initial_weight=" << initial_weight;
+  }
+}
+
+// --- each K = 3 kernel against the reference ---------------------------------
+//
+// apply() runs the AVX2 kernel where the CPU has it, so the tests above cover
+// only one of the two K = 3 kernels on any machine.  These run each kernel
+// through detail::gmm_apply_with() against the verbatim reference, on frames
+// built to hit the vector kernel's corners:
+//   * widths that leave n % 8 tail pixels, or no full block at all (1x1,
+//     7x3), or one block plus a tail (9x2);
+//   * blocks mixing lone and non-lone lanes: a random 30% of pixels is
+//     "busy" and keeps stepping to new levels, the rest is a noisy static
+//     background that stays in (or returns to) the lone state;
+//   * saturated 0 and 255 pixels;
+//   * tie-prone initial weights, and non-finite parameters whose NaN and
+//     infinite model values only an exact mirror of every scalar compare
+//     (ordered predicates, std::max's operand rules, a true division)
+//     reproduces.
+class BusyFrames {
+ public:
+  BusyFrames(common::Rng& rng, common::Size size)
+      : rng_(rng), base_(size.width, size.height), busy_(base_.pixel_count()) {
+    for (std::size_t p = 0; p < base_.pixel_count(); ++p) {
+      base_.data()[p] = static_cast<std::uint8_t>(rng_.uniform_int(20, 235));
+      busy_[p] = rng_.bernoulli(0.3);
+    }
+  }
+
+  video::Image next() {
+    video::Image img = base_;
+    for (std::size_t p = 0; p < img.pixel_count(); ++p) {
+      double v = img.data()[p];
+      if (busy_[p] && rng_.bernoulli(0.25)) v = rng_.uniform_int(0, 255);
+      v += rng_.normal(0.0, 1.5);
+      const double u = rng_.uniform();
+      if (u < 0.01) {
+        v = 0.0;
+      } else if (u < 0.02) {
+        v = 255.0;
+      }
+      img.data()[p] = static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
+    }
+    return img;
+  }
+
+ private:
+  common::Rng& rng_;
+  video::Image base_;
+  std::vector<bool> busy_;
+};
+
+std::vector<GmmParams> kernel_param_sets() {
+  std::vector<GmmParams> sets;
+  sets.push_back(GmmParams{});
+  GmmParams whole_weight;
+  whole_weight.initial_weight = 1.0;
+  sets.push_back(whole_weight);
+  common::Rng rng(4242);
+  for (int i = 0; i < 4; ++i) sets.push_back(random_params(rng, 3, i % 2 == 0));
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  GmmParams p;
+  p.learning_rate = 1e30;  // finite alpha, infinite products
+  sets.push_back(p);
+  p = GmmParams{};
+  p.match_threshold = inf;
+  sets.push_back(p);
+  p = GmmParams{};
+  p.min_variance = nan;
+  sets.push_back(p);
+  p = GmmParams{};
+  p.initial_weight = nan;
+  sets.push_back(p);
+  p = GmmParams{};
+  p.initial_variance = nan;
+  sets.push_back(p);
+  p = GmmParams{};
+  p.background_ratio = nan;
+  sets.push_back(p);
+  return sets;
+}
+
+void expect_kernel_matches_reference(detail::GmmKernel kernel) {
+  constexpr int kFrames = 48;
+  const std::vector<GmmParams> sets = kernel_param_sets();
+  std::size_t mixed_blocks = 0, lone_blocks = 0;
+  for (const common::Size size :
+       {common::Size{1, 1}, common::Size{7, 3}, common::Size{9, 2},
+        common::Size{483, 5}}) {
+    for (std::size_t set = 0; set < sets.size(); ++set) {
+      const std::string where = std::to_string(size.width) + "x" +
+                                std::to_string(size.height) +
+                                " set=" + std::to_string(set);
+      common::Rng rng(static_cast<std::uint64_t>(31 * size.area()) + set);
+      GmmBackgroundSubtractor gmm(size, sets[set]);
+      ReferenceGmm reference(size, sets[set]);
+      BusyFrames frames(rng, size);
+      for (int f = 0; f < kFrames; ++f) {
+        const video::Image img = frames.next();
+        const auto before = gmm.mixtures();
+        for (std::size_t b = 0; b + 8 <= img.pixel_count(); b += 8) {
+          int lone = 0;
+          for (std::size_t px = b; px < b + 8; ++px)
+            lone += before[3 * px].weight == 1.0f &&
+                    before[3 * px + 1].weight <= 0.0f &&
+                    !(before[3 * px + 2].weight > before[3 * px + 1].weight);
+          mixed_blocks += lone > 0 && lone < 8;
+          lone_blocks += lone == 8;
+        }
+        const video::Mask got = detail::gmm_apply_with(gmm, img, kernel);
+        const video::Mask want = reference.apply(img);
+        ASSERT_TRUE(std::equal(got.data(), got.data() + got.pixel_count(),
+                               want.data()))
+            << where << " frame=" << f;
+        ASSERT_TRUE(same_model(gmm.mixtures(), reference.mixtures()))
+            << where << " frame=" << f;
+      }
+    }
+  }
+  EXPECT_GT(mixed_blocks, 0u);
+  EXPECT_GT(lone_blocks, 0u);
+}
+
+TEST(GmmKernel, ScalarMatchesReference) {
+  expect_kernel_matches_reference(detail::GmmKernel::kScalar);
+}
+
+TEST(GmmKernel, Avx2MatchesReference) {
+  if (!detail::gmm_kernel_supported(detail::GmmKernel::kAvx2))
+    GTEST_SKIP() << "this CPU or build has no AVX2 kernel";
+  expect_kernel_matches_reference(detail::GmmKernel::kAvx2);
+}
+
+// An infinite learning rate fills the model with infinite and NaN weights.
+// There the reference's std::sort (no strict weak order on NaN) parts ways
+// with the K = 3 ordering network, so the scalar kernel is the reference:
+// the AVX2 kernel must still reproduce it byte for byte, NaN compares in the
+// network and the match search included.
+TEST(GmmKernel, Avx2MatchesScalarOnNonFiniteModels) {
+  if (!detail::gmm_kernel_supported(detail::GmmKernel::kAvx2))
+    GTEST_SKIP() << "this CPU or build has no AVX2 kernel";
+  const common::Size size{483, 5};
+  for (const double learning_rate :
+       {std::numeric_limits<double>::infinity(), 1e39, 0.9}) {
+    GmmParams params;
+    params.learning_rate = learning_rate;
+    params.initial_weight = 1.0;
+    GmmBackgroundSubtractor vector_gmm(size, params);
+    GmmBackgroundSubtractor scalar_gmm(size, params);
+    common::Rng rng(97);
+    BusyFrames frames(rng, size);
+    for (int f = 0; f < 48; ++f) {
+      const video::Image img = frames.next();
+      const video::Mask got =
+          detail::gmm_apply_with(vector_gmm, img, detail::GmmKernel::kAvx2);
+      const video::Mask want =
+          detail::gmm_apply_with(scalar_gmm, img, detail::GmmKernel::kScalar);
+      ASSERT_TRUE(std::equal(got.data(), got.data() + got.pixel_count(),
+                             want.data()))
+          << "learning_rate=" << learning_rate << " frame=" << f;
+      ASSERT_TRUE(same_model(vector_gmm.mixtures(), scalar_gmm.mixtures()))
+          << "learning_rate=" << learning_rate << " frame=" << f;
+    }
   }
 }
 
