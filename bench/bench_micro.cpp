@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark): throughput of the hot components —
 // the patch-stitching solver (batch and incremental), the per-arrival repack
 // loop of Algorithm 2 (from-scratch vs. StitchSession), adaptive frame
-// partitioning, GMM background subtraction, blob extraction, the event
-// queue, the latency estimator lookup, and the saturated platform's backlog
-// drain.
+// partitioning, frame rendering, GMM background subtraction, blob
+// extraction, stitched-canvas AP, the event queue, the latency estimator
+// lookup, and the saturated platform's backlog drain.
 
 #include <benchmark/benchmark.h>
 
@@ -23,6 +23,8 @@
 #include "core/invoker.h"
 #include "core/partitioner.h"
 #include "core/stitcher.h"
+#include "experiments/accuracy.h"
+#include "experiments/trace.h"
 #include "serverless/platform.h"
 #include "sim/simulator.h"
 #include "video/raster.h"
@@ -126,6 +128,45 @@ void BM_PartitionFrame(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PartitionFrame)->Arg(16)->Arg(128)->Arg(1024);
+
+// Frame rendering at an analysis width of range(0): catalog scene 5's
+// ground truth, rendered in capture order as build_trace renders it (noise,
+// drift and objects), cycling through the scene.  BM_RenderFrame runs the
+// noise kernel render() picks for this CPU; BM_RenderFrameScalarKernel
+// forces the scalar kernel, which CPUs without AVX2 run.
+void run_render_frame(benchmark::State& state,
+                      std::optional<video::detail::NoiseKernel> kernel) {
+  const video::SceneSpec spec = video::panda4k_scene(5);
+  video::SyntheticScene scene(spec);
+  std::vector<video::FrameTruth> truths;
+  truths.reserve(static_cast<std::size_t>(spec.total_frames));
+  for (int i = 0; i < spec.total_frames; ++i)
+    truths.push_back(scene.next_frame());
+  video::RasterConfig raster_config;
+  raster_config.seed ^= spec.seed * 0x9E3779B97F4A7C15ULL;
+  raster_config.analysis = {static_cast<int>(state.range(0)),
+                            static_cast<int>(state.range(0)) * 9 / 16};
+  video::FrameRasterizer rasterizer(spec.frame, raster_config);
+
+  std::size_t f = 0;
+  for (auto _ : state) {
+    const video::Image frame =
+        kernel ? video::detail::render_with(rasterizer, truths[f], *kernel)
+               : rasterizer.render(truths[f]);
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+    f = (f + 1) % truths.size();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          raster_config.analysis.area());
+}
+void BM_RenderFrame(benchmark::State& state) { run_render_frame(state, {}); }
+BENCHMARK(BM_RenderFrame)->Arg(480);
+
+void BM_RenderFrameScalarKernel(benchmark::State& state) {
+  run_render_frame(state, video::detail::NoiseKernel::kScalar);
+}
+BENCHMARK(BM_RenderFrameScalarKernel)->Arg(480);
 
 // GMM throughput on the frames the edge pass really sees: catalog scene 5
 // rendered exactly as build_trace renders it, at an analysis width of
@@ -236,6 +277,20 @@ void BM_ExtractBlobs(benchmark::State& state) {
       static_cast<double>(masks.size() * masks.front().pixel_count());
 }
 BENCHMARK(BM_ExtractBlobs);
+
+// Stitched-canvas AP@0.5 (stitch every evaluation frame's patches, detect
+// on the canvases, map back, NMS, then match and score) over one catalog
+// scene's trace, the per-camera step of edge_fig12's ap50.  The trace is
+// built once, outside the timer; items are evaluation frames.
+void BM_StitchedCanvasAp(benchmark::State& state) {
+  const experiments::SceneTrace trace =
+      experiments::build_trace(video::panda4k_scene(5), {});
+  for (auto _ : state)
+    benchmark::DoNotOptimize(experiments::stitched_canvas_ap(trace));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(trace.eval_frame_count()));
+}
+BENCHMARK(BM_StitchedCanvasAp)->Unit(benchmark::kMillisecond);
 
 void BM_EventQueue(benchmark::State& state) {
   for (auto _ : state) {

@@ -15,12 +15,23 @@
 // not share one Rng object across sims or threads — hand each consumer its
 // own seeded instance instead, which is also what keeps results independent
 // of scheduling order.
+//
+// Block draws.  fill_u32() writes the next n next_u32() outputs at once.  On
+// CPUs with AVX2 (common/cpu.h) it runs eight PCG32 states side by side,
+// states k .. k + 7 of the one sequence, each stepped eight at a time by the
+// jump-ahead constants: eight steps of state' = A * state + inc are one step
+// of state' = A^8 * state + (1 + A + ... + A^7) * inc.  Integer arithmetic
+// mod 2^64 is exact, so the outputs and the state it leaves are those of n
+// next_u32() calls, bit for bit.
 
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <numbers>
+
+#include "common/cpu.h"
 
 namespace tangram::common {
 
@@ -40,11 +51,24 @@ class Rng {
 
   std::uint32_t next_u32() {
     const std::uint64_t old = state_;
-    state_ = old * 6364136223846793005ULL + inc_;
+    state_ = old * kMult + inc_;
     const auto xorshifted =
         static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
     const auto rot = static_cast<std::uint32_t>(old >> 59u);
     return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
+  }
+
+  // Writes the next n next_u32() outputs to out[0 .. n) and leaves the
+  // generator where n next_u32() calls would.
+  void fill_u32(std::uint32_t* out, std::size_t n) {
+#if TANGRAM_AVX2_KERNELS
+    if (n >= kLanes && cpu_has_avx2()) {
+      const std::size_t done = fill_u32_avx2(out, n);
+      out += done;
+      n -= done;
+    }
+#endif
+    for (std::size_t i = 0; i < n; ++i) out[i] = next_u32();
   }
 
   std::uint64_t next_u64() {
@@ -108,6 +132,81 @@ class Rng {
   }
 
  private:
+  static constexpr std::uint64_t kMult = 6364136223846793005ULL;  // A
+
+  // k steps at once: state_{i+k} = mult * state_i + inc_scale * inc_.
+  struct Jump {
+    std::uint64_t mult;
+    std::uint64_t inc_scale;
+  };
+  static constexpr Jump jump(int steps) {
+    Jump j{1, 0};
+    for (int k = 0; k < steps; ++k)
+      j = {j.mult * kMult, j.inc_scale * kMult + 1};
+    return j;
+  }
+
+#if TANGRAM_AVX2_KERNELS
+  static constexpr std::size_t kLanes = 8;
+
+  // One step of four lanes: s * mult + inc mod 2^64, the 64-bit product
+  // built from three 32 x 32 -> 64 multiplies (the high x high term only
+  // reaches bits >= 64).
+  __attribute__((target("avx2"), always_inline)) static __m256i step_lanes(
+      __m256i s, __m256i mult, __m256i mult_hi, __m256i inc) {
+    const __m256i lo = _mm256_mul_epu32(s, mult);
+    const __m256i cross = _mm256_add_epi64(
+        _mm256_mul_epu32(_mm256_srli_epi64(s, 32), mult),
+        _mm256_mul_epu32(s, mult_hi));
+    return _mm256_add_epi64(
+        _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32)), inc);
+  }
+
+  // next_u32()'s output function of four lanes, in each lane's low 32 bits.
+  // The xorshifted word is copied into both halves, so a 64-bit right shift
+  // by rot leaves its 32-bit right rotation in the low half.
+  __attribute__((target("avx2"), always_inline)) static __m256i output_lanes(
+      __m256i s) {
+    const __m256i x = _mm256_srli_epi64(
+        _mm256_xor_si256(_mm256_srli_epi64(s, 18), s), 27);
+    const __m256i both = _mm256_blend_epi32(x, _mm256_slli_epi64(x, 32), 0xAA);
+    return _mm256_srlv_epi64(both, _mm256_srli_epi64(s, 59));
+  }
+
+  // fill_u32() for the whole blocks of eight in out[0 .. n); returns how
+  // many outputs it wrote.  Lanes `even` hold the states of a block's
+  // outputs 0, 2, 4, 6 and `odd` those of 1, 3, 5, 7, so one blend
+  // interleaves the two into output order.
+  __attribute__((target("avx2"))) std::size_t fill_u32_avx2(
+      std::uint32_t* out, std::size_t n) {
+    static constexpr Jump kJump = jump(static_cast<int>(kLanes));
+    long long s[kLanes] = {};
+    for (auto& lane : s) {
+      lane = static_cast<long long>(state_);
+      state_ = state_ * kMult + inc_;
+    }
+    __m256i even = _mm256_setr_epi64x(s[0], s[2], s[4], s[6]);
+    __m256i odd = _mm256_setr_epi64x(s[1], s[3], s[5], s[7]);
+    const __m256i mult = _mm256_set1_epi64x(static_cast<long long>(kJump.mult));
+    const __m256i mult_hi =
+        _mm256_set1_epi64x(static_cast<long long>(kJump.mult >> 32));
+    const __m256i inc =
+        _mm256_set1_epi64x(static_cast<long long>(kJump.inc_scale * inc_));
+    const std::size_t blocks = n / kLanes;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const __m256i words =
+          _mm256_blend_epi32(output_lanes(even),
+                             _mm256_slli_epi64(output_lanes(odd), 32), 0xAA);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + b * kLanes), words);
+      even = step_lanes(even, mult, mult_hi, inc);
+      odd = step_lanes(odd, mult, mult_hi, inc);
+    }
+    state_ = static_cast<std::uint64_t>(
+        _mm_cvtsi128_si64(_mm256_castsi256_si128(even)));
+    return blocks * kLanes;
+  }
+#endif
+
   // Lemire-style unbiased bounded draw.
   std::uint32_t bounded(std::uint32_t bound) {
     if (bound <= 1) return 0;

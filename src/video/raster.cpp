@@ -1,10 +1,110 @@
 #include "video/raster.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
+
+#include "common/cpu.h"
 
 namespace tangram::video {
 
 namespace {
+
+// Uniform noise with a matched standard deviation: width = sigma * sqrt(12).
+double noise_half_width(const RasterConfig& config) {
+  return config.noise_sigma * 1.7320508;
+}
+
+// The scalar kernel: render()'s per-pixel noise loop, one uniform() draw
+// per pixel.
+void noise_scalar(std::uint8_t* px, std::size_t n, double drift,
+                  double half_width, common::Rng& rng) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double noisy = px[i] + drift + rng.uniform(-half_width, half_width);
+    px[i] = static_cast<std::uint8_t>(std::clamp(noisy, 0.0, 255.0));
+  }
+}
+
+#if TANGRAM_AVX2_KERNELS
+
+// Draws per Rng::fill_u32 call: large enough to amortise its set-up, small
+// enough to stay in L1 next to the pixels.
+constexpr std::size_t kNoiseBlock = 512;
+
+// Four pixels of noise_scalar in double lanes, from four drawn words, in
+// the same operation order: Rng::uniform(lo, lo + span) is
+// lo + span * (word * 2^-32).  A word converts exactly (flip the sign bit,
+// convert as signed, add 2^31), and 2^-32 is a power of two, so u is the
+// scalar u.  max_pd/min_pd differ from std::clamp only on NaN (ruled out by
+// the RasterConfig checks) and on -0.0, which truncates to 0 either way.
+__attribute__((target("avx2"), always_inline)) inline __m128i noise4(
+    const std::uint8_t* px, const std::uint32_t* words, __m256d drift,
+    __m256d lo, __m256d span) {
+  std::int32_t bytes = 0;
+  std::memcpy(&bytes, px, sizeof bytes);
+  const __m256d base = _mm256_add_pd(
+      _mm256_cvtepi32_pd(_mm_cvtepu8_epi32(_mm_cvtsi32_si128(bytes))), drift);
+  const __m128i flipped =
+      _mm_xor_si128(_mm_loadu_si128(reinterpret_cast<const __m128i*>(words)),
+                    _mm_set1_epi32(INT32_MIN));
+  const __m256d word = _mm256_add_pd(_mm256_cvtepi32_pd(flipped),
+                                     _mm256_set1_pd(0x1.0p31));
+  const __m256d u = _mm256_mul_pd(word, _mm256_set1_pd(0x1.0p-32));
+  const __m256d noisy =
+      _mm256_add_pd(base, _mm256_add_pd(lo, _mm256_mul_pd(span, u)));
+  const __m256d clamped = _mm256_min_pd(
+      _mm256_max_pd(noisy, _mm256_setzero_pd()), _mm256_set1_pd(255.0));
+  return _mm256_cvttpd_epi32(clamped);
+}
+
+// The AVX2 kernel: draws a block of words with Rng::fill_u32, then turns
+// eight pixels at a time into bytes; a block's last n % 8 pixels take the
+// scalar expression on their words.
+__attribute__((target("avx2"))) void noise_avx2(std::uint8_t* px,
+                                                std::size_t n, double drift,
+                                                double half_width,
+                                                common::Rng& rng) {
+  const double lo = -half_width;
+  const double span = half_width - lo;
+  const __m256d vdrift = _mm256_set1_pd(drift);
+  const __m256d vlo = _mm256_set1_pd(lo);
+  const __m256d vspan = _mm256_set1_pd(span);
+  std::array<std::uint32_t, kNoiseBlock> words{};
+  for (std::size_t at = 0; at < n; at += kNoiseBlock) {
+    const std::size_t m = std::min(kNoiseBlock, n - at);
+    rng.fill_u32(words.data(), m);
+    std::uint8_t* block = px + at;
+    std::size_t i = 0;
+    for (; i + 8 <= m; i += 8) {
+      const __m128i ints = _mm_packs_epi32(
+          noise4(block + i, &words[i], vdrift, vlo, vspan),
+          noise4(block + i + 4, &words[i + 4], vdrift, vlo, vspan));
+      _mm_storel_epi64(reinterpret_cast<__m128i*>(block + i),
+                       _mm_packus_epi16(ints, ints));
+    }
+    for (; i < m; ++i) {
+      const double noisy =
+          block[i] + drift + (lo + span * (words[i] * 0x1.0p-32));
+      block[i] = static_cast<std::uint8_t>(std::clamp(noisy, 0.0, 255.0));
+    }
+  }
+}
+
+#endif  // TANGRAM_AVX2_KERNELS
+
+void add_noise(std::uint8_t* px, std::size_t n, double drift,
+               double half_width, common::Rng& rng,
+               [[maybe_unused]] detail::NoiseKernel kernel) {
+#if TANGRAM_AVX2_KERNELS
+  if (kernel == detail::NoiseKernel::kAvx2) {
+    noise_avx2(px, n, drift, half_width, rng);
+    return;
+  }
+#endif
+  noise_scalar(px, n, drift, half_width, rng);
+}
 
 // Cheap deterministic 2D hash -> [0, 1); used for object textures so pixels
 // are stable across frames without storing per-object bitmaps.
@@ -19,6 +119,28 @@ double hash01(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
 
 }  // namespace
 
+namespace detail {
+
+bool noise_kernel_supported(NoiseKernel kernel) {
+  return kernel == NoiseKernel::kScalar || common::cpu_has_avx2();
+}
+
+void add_noise_with(std::uint8_t* px, std::size_t n, double drift,
+                    double half_width, common::Rng& rng, NoiseKernel kernel) {
+  if (!noise_kernel_supported(kernel))
+    throw std::invalid_argument("add_noise_with: kernel not supported");
+  add_noise(px, n, drift, half_width, rng, kernel);
+}
+
+Image render_with(FrameRasterizer& rasterizer, const FrameTruth& truth,
+                  NoiseKernel kernel) {
+  if (!noise_kernel_supported(kernel))
+    throw std::invalid_argument("render_with: kernel not supported");
+  return rasterizer.render(truth, kernel);
+}
+
+}  // namespace detail
+
 FrameRasterizer::FrameRasterizer(common::Size native, RasterConfig config)
     : native_(native),
       config_(config),
@@ -26,6 +148,19 @@ FrameRasterizer::FrameRasterizer(common::Size native, RasterConfig config)
       sy_(static_cast<double>(config.analysis.height) / native.height),
       background_(config.analysis.width, config.analysis.height),
       noise_rng_(config.seed, 11) {
+  // Each of these would turn a pixel NaN, and casting NaN to a byte is
+  // undefined.  noise_sigma = 0 (a noiseless frame) is valid.
+  const double half_width = noise_half_width(config);
+  if (!std::isfinite(half_width - -half_width))
+    throw std::invalid_argument("RasterConfig: noise_sigma must be finite");
+  if (!std::isfinite(config.illum_drift))
+    throw std::invalid_argument("RasterConfig: illum_drift must be finite");
+  if (!(config.illum_period_s > 0.0) || !std::isfinite(config.illum_period_s))
+    throw std::invalid_argument(
+        "RasterConfig: illum_period_s must be finite and positive");
+  if (!std::isfinite(config.max_contrast - config.min_contrast))
+    throw std::invalid_argument("RasterConfig: contrasts must be finite");
+
   // Static background: sum of a few low-frequency cosine plateaus, giving
   // smooth structure (walls, road, sky bands) in [80, 170].
   common::Rng rng(config.seed, 3);
@@ -65,24 +200,28 @@ double FrameRasterizer::object_offset(int object_id) const {
 }
 
 Image FrameRasterizer::render(const FrameTruth& truth) {
+  static const detail::NoiseKernel kernel =
+      detail::noise_kernel_supported(detail::NoiseKernel::kAvx2)
+          ? detail::NoiseKernel::kAvx2
+          : detail::NoiseKernel::kScalar;
+  return render(truth, kernel);
+}
+
+Image FrameRasterizer::render(const FrameTruth& truth,
+                              detail::NoiseKernel kernel) {
   Image frame = background_;
 
   // Slow illumination drift + per-frame sensor noise.  Uniform noise with a
-  // matched standard deviation (width = sigma * sqrt(12)) instead of a
-  // Gaussian: the GMM only cares about second moments and a uniform draw is
-  // one RNG call instead of a Box-Muller pair — this loop dominates trace
-  // generation time.
+  // matched standard deviation instead of a Gaussian: the GMM only cares
+  // about second moments, and a uniform draw is one RNG call instead of a
+  // Box-Muller pair.  One draw per pixel, the noise kernel's job (raster.h).
   const double drift =
       config_.illum_drift *
       std::sin(2 * 3.14159265 * truth.timestamp / config_.illum_period_s);
-  const double half_width = config_.noise_sigma * 1.7320508;
-  std::uint8_t* px = frame.data();
-  const std::size_t n = frame.pixel_count();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double noisy =
-        px[i] + drift + noise_rng_.uniform(-half_width, half_width);
-    px[i] = static_cast<std::uint8_t>(std::clamp(noisy, 0.0, 255.0));
-  }
+  if (!std::isfinite(drift))
+    throw std::invalid_argument("FrameRasterizer: illumination drift is NaN");
+  add_noise(frame.data(), frame.pixel_count(), drift, noise_half_width(config_),
+            noise_rng_, kernel);
 
   // Paint objects (native boxes scaled down to analysis space).  Each pixel
   // is background + offset + texture, the texture in 2x2-pixel blocks of

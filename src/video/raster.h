@@ -13,9 +13,20 @@
 // running MOG2).  Consequently small/distant objects occupy only a few
 // pixels and are genuinely hard for the GMM to pick up, which is exactly the
 // failure mode the paper's adaptive partitioner exists to repair.
+//
+// Noise kernels.  The scalar kernel adds one uniform() draw per pixel.  On
+// x86-64 CPUs with AVX2 (common/cpu.h, checked once per process) render()
+// instead draws the noise in blocks of 512 words with Rng::fill_u32 and
+// turns eight pixels at a time into bytes.  It keeps the scalar expression,
+// (px + drift) + (lo + (hi - lo) * (word * 2^-32)) in double with no FMA
+// (the top-level CMakeLists.txt passes -ffp-contract=off), clamps it to
+// [0, 255] and truncates, so every frame, and the generator state left
+// behind, is byte-identical whichever kernel runs.  RasterConfig values that
+// would make a pixel NaN are rejected by the constructor.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/geometry.h"
@@ -39,8 +50,36 @@ struct RasterConfig {
   std::uint64_t seed = 99;
 };
 
+class FrameRasterizer;
+
+namespace detail {
+
+// The noise kernels render() chooses between.
+enum class NoiseKernel { kScalar, kAvx2 };
+
+// Whether this process can run `kernel` (kAvx2: an AVX2 build on a CPU with
+// AVX2).
+[[nodiscard]] bool noise_kernel_supported(NoiseKernel kernel);
+
+// render()'s noise step on n pixels, forced to `kernel`, which must be
+// supported: px[i] becomes clamp(px[i] + drift + rng.uniform(-half_width,
+// half_width), 0, 255), truncated, drawing exactly n values from `rng`.
+// For tests and benchmarks.
+void add_noise_with(std::uint8_t* px, std::size_t n, double drift,
+                    double half_width, common::Rng& rng, NoiseKernel kernel);
+
+// render() with the noise step forced to `kernel`, which must be supported.
+// For tests and benchmarks.
+[[nodiscard]] Image render_with(FrameRasterizer& rasterizer,
+                                const FrameTruth& truth, NoiseKernel kernel);
+
+}  // namespace detail
+
 class FrameRasterizer {
  public:
+  // Throws std::invalid_argument for a non-finite noise_sigma, illum_drift
+  // or contrast, a noise width or contrast range that overflows, or an
+  // illum_period_s that is not finite and positive.
   FrameRasterizer(common::Size native, RasterConfig config);
 
   [[nodiscard]] const RasterConfig& config() const { return config_; }
@@ -52,7 +91,9 @@ class FrameRasterizer {
   [[nodiscard]] double sx() const { return sx_; }
   [[nodiscard]] double sy() const { return sy_; }
 
-  // Render one frame; `truth` boxes are in native coordinates.
+  // Render one frame; `truth` boxes are in native coordinates.  Throws
+  // std::invalid_argument if the frame's illumination drift is not finite
+  // (a timestamp so large against illum_period_s that the phase overflows).
   [[nodiscard]] Image render(const FrameTruth& truth);
 
   // Map an analysis-space rect back to native coordinates (rounds outward).
@@ -61,6 +102,11 @@ class FrameRasterizer {
   [[nodiscard]] common::Rect to_analysis(const common::Rect& native_rect) const;
 
  private:
+  friend Image detail::render_with(FrameRasterizer&, const FrameTruth&,
+                                   detail::NoiseKernel);
+  [[nodiscard]] Image render(const FrameTruth& truth,
+                             detail::NoiseKernel kernel);
+
   // An object's signed contrast against the background, from its id.
   [[nodiscard]] double object_offset(int object_id) const;
 

@@ -7,12 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define TANGRAM_GMM_AVX2 1
-#include <immintrin.h>
-#else
-#define TANGRAM_GMM_AVX2 0
-#endif
+#include "common/cpu.h"
 
 namespace tangram::vision {
 
@@ -222,7 +217,7 @@ void update_scalar(const Constants c, const Planes p,
   }
 }
 
-#if TANGRAM_GMM_AVX2
+#if TANGRAM_AVX2_KERNELS
 
 // The K = 3 update, eight pixels per step, as lane masks.  Every helper is
 // inlined into update3_avx2, the one function compiled for AVX2; the rules
@@ -545,23 +540,14 @@ void update3_avx2(const Constants& c, const Planes& p, const std::uint8_t* src,
   update_scalar<3>(c, p, src, dst, 0, p.n);
 }
 
-#endif  // TANGRAM_GMM_AVX2
+#endif  // TANGRAM_AVX2_KERNELS
 
 }  // namespace
 
 namespace detail {
 
 bool gmm_kernel_supported(GmmKernel kernel) {
-  if (kernel == GmmKernel::kScalar) return true;
-#if TANGRAM_GMM_AVX2
-  static const bool avx2 = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
-  }();
-  return avx2;
-#else
-  return false;
-#endif
+  return kernel == GmmKernel::kScalar || common::cpu_has_avx2();
 }
 
 video::Mask gmm_apply_with(GmmBackgroundSubtractor& gmm,

@@ -25,11 +25,11 @@
 // CPU dispatch (K = 3).  On x86-64 CPUs with AVX2 the K = 3 update runs
 // eight pixels at a time in one function compiled for AVX2 (GCC/Clang
 // target attribute; the rest of the build keeps its baseline ISA).  The
-// choice is made once per process with __builtin_cpu_supports("avx2").  The
-// scalar K = 3 kernel runs on other CPUs, in non-x86 builds and on the last
-// n % 8 pixels.  Both produce the same bytes; detail::gmm_apply_with() runs
-// either one on purpose, which is how tests/test_gmm.cpp checks each
-// against the reference.
+// choice is made once per process by common::cpu_has_avx2() (common/cpu.h).
+// The scalar K = 3 kernel runs on other CPUs, in non-x86 and portable
+// builds and on the last n % 8 pixels.  Both produce the same bytes;
+// detail::gmm_apply_with() runs either one on purpose, which is how
+// tests/test_gmm.cpp checks each against the reference.
 //
 // Bit-exactness contract.  Every foreground mask and every mixture value is
 // byte-identical to the original one-pixel-at-a-time update, which

@@ -21,7 +21,10 @@ struct Detection {
 // Accumulates (detections, ground truth) pairs frame by frame, then computes
 // AP at a chosen IoU threshold.  Matching is the standard protocol: sort all
 // detections by descending confidence; each matches the highest-IoU unused
-// ground-truth box in its own frame if IoU >= threshold.
+// ground-truth box in its own frame (the lowest index among equal IoUs) if
+// that IoU is positive and >= threshold.  Only ground truth whose x-range
+// overlaps the detection's is examined, which is exact: a box outside it
+// has IoU 0.
 class ApAccumulator {
  public:
   void add_frame(std::vector<Detection> detections,
@@ -57,9 +60,12 @@ class ApAccumulator {
 
 // Greedy non-maximum suppression: detections sorted by descending
 // confidence; a detection is dropped if it overlaps an already-kept one
-// with IoU >= threshold.  This is how a real deployment removes duplicate
-// boxes when overlapping patches see the same object twice (the inverse-
-// mapping path in experiments/accuracy.cpp uses it).
+// with IoU >= threshold.  For a positive threshold only the kept boxes
+// whose x-range overlaps the detection's are examined (the others have
+// IoU 0); a threshold <= 0 compares against every kept box.  This is how
+// a real deployment removes duplicate boxes when overlapping patches see
+// the same object twice (the inverse-mapping path in
+// experiments/accuracy.cpp uses it).
 // The default threshold is tuned for crowded scenes: duplicates of the same
 // object (seen by two overlapping patches) overlap at IoU ~0.7+, while
 // distinct adjacent pedestrians rarely exceed 0.5.

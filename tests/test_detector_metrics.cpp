@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.h"
 #include "vision/detector.h"
 #include "vision/metrics.h"
 
@@ -124,6 +128,222 @@ TEST(Nms, OutputSortedByConfidence) {
   ASSERT_EQ(kept.size(), 3u);
   EXPECT_GE(kept[0].confidence, kept[1].confidence);
   EXPECT_GE(kept[1].confidence, kept[2].confidence);
+}
+
+// --- reference matcher and NMS ---------------------------------------------
+
+// ApAccumulator's matcher, AP and recall before spatial pruning, verbatim
+// (frames as (detections, ground truth) pairs).
+struct RefFrame {
+  std::vector<Detection> detections;
+  std::vector<GroundTruthObject> ground_truth;
+};
+
+std::vector<char> reference_match_all(const std::vector<RefFrame>& frames_,
+                                      double iou_threshold) {
+  struct Ref {
+    std::size_t frame;
+    std::size_t det;
+    double confidence;
+  };
+  std::vector<Ref> refs;
+  for (std::size_t f = 0; f < frames_.size(); ++f)
+    for (std::size_t d = 0; d < frames_[f].detections.size(); ++d)
+      refs.push_back(Ref{f, d, frames_[f].detections[d].confidence});
+  std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
+    return a.confidence > b.confidence;
+  });
+
+  std::vector<std::vector<char>> used(frames_.size());
+  for (std::size_t f = 0; f < frames_.size(); ++f)
+    used[f].assign(frames_[f].ground_truth.size(), 0);
+
+  std::vector<char> tp;
+  tp.reserve(refs.size());
+  for (const auto& r : refs) {
+    const RefFrame& frame = frames_[r.frame];
+    const Detection& det = frame.detections[r.det];
+    double best_iou = 0.0;
+    std::size_t best_gt = 0;
+    bool found = false;
+    for (std::size_t g = 0; g < frame.ground_truth.size(); ++g) {
+      if (used[r.frame][g]) continue;
+      const double v = common::iou(det.box, frame.ground_truth[g].box);
+      if (v > best_iou) {
+        best_iou = v;
+        best_gt = g;
+        found = true;
+      }
+    }
+    if (found && best_iou >= iou_threshold) {
+      used[r.frame][best_gt] = 1;
+      tp.push_back(1);
+    } else {
+      tp.push_back(0);
+    }
+  }
+  return tp;
+}
+
+std::size_t reference_total_gt(const std::vector<RefFrame>& frames) {
+  std::size_t total = 0;
+  for (const auto& f : frames) total += f.ground_truth.size();
+  return total;
+}
+
+double reference_ap(const std::vector<RefFrame>& frames,
+                    double iou_threshold) {
+  const std::size_t total_gt_ = reference_total_gt(frames);
+  if (total_gt_ == 0) return 0.0;
+  const std::vector<char> tp = reference_match_all(frames, iou_threshold);
+  if (tp.empty()) return 0.0;
+
+  std::vector<double> precision(tp.size());
+  std::vector<double> recall(tp.size());
+  double cum_tp = 0.0;
+  for (std::size_t i = 0; i < tp.size(); ++i) {
+    cum_tp += tp[i];
+    precision[i] = cum_tp / static_cast<double>(i + 1);
+    recall[i] = cum_tp / static_cast<double>(total_gt_);
+  }
+  for (std::size_t i = precision.size() - 1; i > 0; --i)
+    precision[i - 1] = std::max(precision[i - 1], precision[i]);
+
+  double ap = 0.0;
+  double prev_recall = 0.0;
+  for (std::size_t i = 0; i < tp.size(); ++i) {
+    ap += (recall[i] - prev_recall) * precision[i];
+    prev_recall = recall[i];
+  }
+  return ap;
+}
+
+double reference_max_recall(const std::vector<RefFrame>& frames,
+                            double iou_threshold) {
+  const std::size_t total_gt_ = reference_total_gt(frames);
+  if (total_gt_ == 0) return 0.0;
+  const std::vector<char> tp = reference_match_all(frames, iou_threshold);
+  const double hits =
+      static_cast<double>(std::count(tp.begin(), tp.end(), char{1}));
+  return hits / static_cast<double>(total_gt_);
+}
+
+// non_maximum_suppression before spatial pruning, verbatim.
+std::vector<Detection> reference_nms(std::vector<Detection> detections,
+                                     double iou_threshold) {
+  std::sort(detections.begin(), detections.end(),
+            [](const Detection& a, const Detection& b) {
+              return a.confidence > b.confidence;
+            });
+  std::vector<Detection> kept;
+  kept.reserve(detections.size());
+  for (const auto& det : detections) {
+    bool suppressed = false;
+    for (const auto& keeper : kept) {
+      if (common::iou(det.box, keeper.box) >= iou_threshold) {
+        suppressed = true;
+        break;
+      }
+    }
+    if (!suppressed) kept.push_back(det);
+  }
+  return kept;
+}
+
+// A crowded random frame built to hit every tie and edge case of the
+// pruning: confidences from five levels (ties across frames too), exact
+// duplicate ground-truth and detection boxes (IoU ties), detections that are
+// jittered copies of ground truth, zero-width, zero-height and
+// negative-size boxes, and negative coordinates.
+RefFrame random_frame(common::Rng& rng) {
+  const auto random_box = [&] {
+    return common::Rect{rng.uniform_int(-60, 200), rng.uniform_int(-60, 120),
+                        rng.uniform_int(-4, 70), rng.uniform_int(-4, 70)};
+  };
+  RefFrame frame;
+  const int gt_count = rng.uniform_int(0, 14);
+  for (int g = 0; g < gt_count; ++g) {
+    common::Rect box = random_box();
+    if (!frame.ground_truth.empty() && rng.bernoulli(0.15))
+      box = frame.ground_truth[static_cast<std::size_t>(rng.uniform_int(
+                                   0, g - 1))]
+                .box;
+    if (rng.bernoulli(0.08)) box.width = 0;
+    frame.ground_truth.push_back(GroundTruthObject{g, box});
+  }
+  const int det_count = rng.uniform_int(0, 18);
+  for (int d = 0; d < det_count; ++d) {
+    common::Rect box = random_box();
+    int gt_id = -1;
+    if (!frame.ground_truth.empty() && rng.bernoulli(0.55)) {
+      const auto& gt = frame.ground_truth[static_cast<std::size_t>(
+          rng.uniform_int(0, gt_count - 1))];
+      gt_id = gt.id;
+      box = gt.box;
+      if (rng.bernoulli(0.6))
+        box = common::Rect{box.x + rng.uniform_int(-8, 8),
+                           box.y + rng.uniform_int(-8, 8),
+                           box.width + rng.uniform_int(-8, 8),
+                           box.height + rng.uniform_int(-8, 8)};
+    } else if (!frame.detections.empty() && rng.bernoulli(0.2)) {
+      box = frame.detections.back().box;
+    }
+    const double confidence =
+        rng.bernoulli(0.7) ? 0.2 * rng.uniform_int(1, 5) : rng.uniform();
+    frame.detections.push_back(Detection{box, confidence, gt_id});
+  }
+  return frame;
+}
+
+constexpr double kThresholds[] = {-0.5, 0.0, 0.3, 0.5, 0.65, 1.0};
+
+TEST(ApReference, MatchesVerbatimMatcher) {
+  common::Rng rng(2024, 7);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<RefFrame> frames(
+        static_cast<std::size_t>(rng.uniform_int(1, 12)));
+    for (auto& f : frames) f = random_frame(rng);
+    ApAccumulator acc;
+    for (const auto& f : frames) acc.add_frame(f.detections, f.ground_truth);
+    for (const double t : kThresholds) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " t " << t);
+      ASSERT_EQ(acc.average_precision(t), reference_ap(frames, t));
+      ASSERT_EQ(acc.max_recall(t), reference_max_recall(frames, t));
+    }
+  }
+}
+
+TEST(ApReference, EqualIouTieTakesLowestGroundTruthIndex) {
+  // The detection overlaps both boxes by the same area; ground truth 0 lies
+  // to the right of ground truth 1, so the lowest index is not the leftmost.
+  const std::vector<GroundTruthObject> gt{{0, {20, 0, 10, 10}},
+                                          {1, {0, 0, 10, 10}}};
+  const std::vector<Detection> dets{{{5, 0, 20, 10}, 0.9, -1},
+                                    {{0, 0, 10, 10}, 0.8, 1}};
+  // If the tie went to index 1, the second detection would find its own
+  // box taken: recall 1/2 instead of 1.
+  ApAccumulator acc;
+  acc.add_frame(dets, gt);
+  EXPECT_EQ(acc.max_recall(0.1), 1.0);
+  EXPECT_EQ(acc.max_recall(0.1), reference_max_recall({{dets, gt}}, 0.1));
+}
+
+TEST(NmsReference, MatchesVerbatimNms) {
+  common::Rng rng(4048, 9);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const RefFrame frame = random_frame(rng);
+    for (const double t : kThresholds) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " t " << t);
+      const auto got = non_maximum_suppression(frame.detections, t);
+      const auto want = reference_nms(frame.detections, t);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].box, want[i].box);
+        ASSERT_EQ(got[i].confidence, want[i].confidence);
+        ASSERT_EQ(got[i].gt_id, want[i].gt_id);
+      }
+    }
+  }
 }
 
 // --- detector model --------------------------------------------------------

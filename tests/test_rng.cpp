@@ -128,6 +128,36 @@ TEST(Rng, ForkProducesIndependentStream) {
   EXPECT_LT(equal, 5);
 }
 
+TEST(Rng, FillU32MatchesSequentialDraws) {
+  // fill_u32 must write exactly the next n next_u32() outputs, nothing past
+  // them, and leave the generator where n calls would: the lane path (whole
+  // blocks of eight, on AVX2 CPUs) and the tail both count.  The writes
+  // start one word into the buffer so the block stores are unaligned.
+  constexpr std::uint32_t kGuard = 0xDEADBEEF;
+  const std::size_t sizes[] = {0, 1, 7, 8, 9, 15, 16, 17, 129603};
+  const std::uint64_t seeds[] = {0, 1, 99, 0x853c49e6748fea9bULL,
+                                 0xFFFFFFFFFFFFFFFFULL};
+  const std::uint64_t streams[] = {0, 1, 11, 0x7FFFFFFFFFFFFFFFULL};
+  for (const std::uint64_t seed : seeds)
+    for (const std::uint64_t stream : streams)
+      for (const std::size_t n : sizes) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " stream "
+                                        << stream << " n " << n);
+        Rng block(seed, stream), serial(seed, stream);
+        // Start mid-stream, so the lanes do not begin at a fresh seed.
+        for (int i = 0; i < 3; ++i)
+          ASSERT_EQ(block.next_u32(), serial.next_u32());
+        std::vector<std::uint32_t> buffer(n + 2, kGuard);
+        block.fill_u32(buffer.data() + 1, n);
+        ASSERT_EQ(buffer.front(), kGuard);
+        ASSERT_EQ(buffer.back(), kGuard);
+        for (std::size_t i = 0; i < n; ++i)
+          ASSERT_EQ(buffer[i + 1], serial.next_u32()) << "draw " << i;
+        ASSERT_EQ(block.next_u32(), serial.next_u32()) << "draw after fill";
+        ASSERT_EQ(block.next_u64(), serial.next_u64());
+      }
+}
+
 TEST(Rng, ConcurrentSameSeedStreamsIdentical) {
   // Rng is a 16-byte value type with no static or global state, so two
   // identically-seeded generators advanced on racing threads must emit the
