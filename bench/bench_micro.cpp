@@ -132,10 +132,15 @@ BENCHMARK(BM_PartitionFrame)->Arg(16)->Arg(128)->Arg(1024);
 // Frame rendering at an analysis width of range(0): catalog scene 5's
 // ground truth, rendered in capture order as build_trace renders it (noise,
 // drift and objects), cycling through the scene.  BM_RenderFrame runs the
-// noise kernel render() picks for this CPU; BM_RenderFrameScalarKernel
-// forces the scalar kernel, which CPUs without AVX2 run.
+// noise kernel render() picks for this CPU; BM_RenderFrameAvx2Kernel forces
+// the AVX2 tier, which CPUs without AVX-512 run, and
+// BM_RenderFrameScalarKernel the scalar kernel, which CPUs without AVX2 run.
 void run_render_frame(benchmark::State& state,
                       std::optional<video::detail::NoiseKernel> kernel) {
+  if (kernel && !video::detail::noise_kernel_supported(*kernel)) {
+    state.SkipWithError("noise kernel not supported on this CPU or build");
+    return;
+  }
   const video::SceneSpec spec = video::panda4k_scene(5);
   video::SyntheticScene scene(spec);
   std::vector<video::FrameTruth> truths;
@@ -163,6 +168,11 @@ void run_render_frame(benchmark::State& state,
 void BM_RenderFrame(benchmark::State& state) { run_render_frame(state, {}); }
 BENCHMARK(BM_RenderFrame)->Arg(480);
 
+void BM_RenderFrameAvx2Kernel(benchmark::State& state) {
+  run_render_frame(state, video::detail::NoiseKernel::kAvx2);
+}
+BENCHMARK(BM_RenderFrameAvx2Kernel)->Arg(480);
+
 void BM_RenderFrameScalarKernel(benchmark::State& state) {
   run_render_frame(state, video::detail::NoiseKernel::kScalar);
 }
@@ -176,10 +186,15 @@ BENCHMARK(BM_RenderFrameScalarKernel)->Arg(480);
 // meets the model state it meets in a trace.  lone_frac is the share of timed
 // pixel-frames whose model is in the K = 3 kernel's lone-component state
 // (see gmm.h) before the update.  BM_GmmApply runs the kernel apply()
-// picks for this CPU; BM_GmmApplyScalarKernel forces the portable scalar
+// picks for this CPU; BM_GmmApplyAvx2Kernel forces the AVX2 tier, which
+// CPUs without AVX-512 run, and BM_GmmApplyScalarKernel the portable scalar
 // K = 3 kernel, which CPUs without AVX2 run.
 void run_gmm_apply(benchmark::State& state,
                    std::optional<vision::detail::GmmKernel> kernel) {
+  if (kernel && !vision::detail::gmm_kernel_supported(*kernel)) {
+    state.SkipWithError("GMM kernel not supported on this CPU or build");
+    return;
+  }
   constexpr std::size_t kSettle = 16;
   const video::SceneSpec spec = video::panda4k_scene(5);
   video::SyntheticScene scene(spec);
@@ -234,6 +249,11 @@ void run_gmm_apply(benchmark::State& state,
 }
 void BM_GmmApply(benchmark::State& state) { run_gmm_apply(state, {}); }
 BENCHMARK(BM_GmmApply)->Arg(320)->Arg(480)->Arg(960);
+
+void BM_GmmApplyAvx2Kernel(benchmark::State& state) {
+  run_gmm_apply(state, vision::detail::GmmKernel::kAvx2);
+}
+BENCHMARK(BM_GmmApplyAvx2Kernel)->Arg(480);
 
 void BM_GmmApplyScalarKernel(benchmark::State& state) {
   run_gmm_apply(state, vision::detail::GmmKernel::kScalar);

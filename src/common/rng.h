@@ -16,13 +16,22 @@
 // own seeded instance instead, which is also what keeps results independent
 // of scheduling order.
 //
-// Block draws.  fill_u32() writes the next n next_u32() outputs at once.  On
-// CPUs with AVX2 (common/cpu.h) it runs eight PCG32 states side by side,
-// states k .. k + 7 of the one sequence, each stepped eight at a time by the
-// jump-ahead constants: eight steps of state' = A * state + inc are one step
-// of state' = A^8 * state + (1 + A + ... + A^7) * inc.  Integer arithmetic
-// mod 2^64 is exact, so the outputs and the state it leaves are those of n
-// next_u32() calls, bit for bit.
+// Block draws.  fill_u32() writes the next n next_u32() outputs at once, on
+// the best SIMD tier of the CPU (common/cpu.h).  The AVX-512 tier runs 16
+// PCG32 states side by side, states k .. k + 15 of the one sequence, each
+// stepped 16 at a time by the jump-ahead constants: 16 steps of
+// state' = A * state + inc are one step of
+// state' = A^16 * state + (1 + A + ... + A^15) * inc.  It multiplies with
+// the exact 64-bit vpmullq, narrows each lane's xorshifted word and rotation
+// count to 32 bits (vpmovqd keeps the low half, as the scalar casts do) and
+// rotates with vprord.  The AVX2 tier runs eight states with A^8 and
+// (1 + ... + A^7) * inc, its 64-bit multiply built from three 32 x 32 -> 64
+// ones.  Integer arithmetic mod 2^64 is exact, so on every tier the outputs
+// and the state left behind are those of n next_u32() calls, bit for bit;
+// the last n % 16 (or n % 8) words are next_u32() calls.  draw_avx512()
+// hands the AVX-512 tier's blocks of 16 words to a caller's function while
+// they are still in registers (the render noise converts them there), and
+// keeps the state private to the Rng as fill_u32() does.
 
 #pragma once
 
@@ -30,6 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <numbers>
+#include <stdexcept>
 
 #include "common/cpu.h"
 
@@ -61,15 +71,61 @@ class Rng {
   // Writes the next n next_u32() outputs to out[0 .. n) and leaves the
   // generator where n next_u32() calls would.
   void fill_u32(std::uint32_t* out, std::size_t n) {
+    fill_u32(out, n, best_simd_tier());
+  }
+
+  // fill_u32() on `tier`, which must be supported (simd_tier_supported).
+  // Every tier writes the same words; for tests and benchmarks.
+  void fill_u32(std::uint32_t* out, std::size_t n, SimdTier tier) {
+    if (!simd_tier_supported(tier))
+      throw std::invalid_argument("Rng::fill_u32: tier not supported");
 #if TANGRAM_AVX2_KERNELS
-    if (n >= kLanes && cpu_has_avx2()) {
-      const std::size_t done = fill_u32_avx2(out, n);
-      out += done;
-      n -= done;
-    }
+    std::size_t done = 0;
+    if (tier == SimdTier::kAvx512)
+      done = fill_u32_avx512(out, n);
+    else if (tier == SimdTier::kAvx2 && n >= 8)
+      done = fill_u32_avx2(out, n);
+    out += done;
+    n -= done;
 #endif
     for (std::size_t i = 0; i < n; ++i) out[i] = next_u32();
   }
+
+#if TANGRAM_AVX2_KERNELS
+  // The AVX-512 tier's draw: the next n - n % 16 outputs, 16 at a time, in
+  // order.  Block b goes to sink(16 * b, first, second), the block's
+  // outputs 0 .. 7 in `first` and 8 .. 15 in `second`.  Returns how many
+  // outputs it drew and leaves the generator after them.  Call it only
+  // where simd_tier_supported(SimdTier::kAvx512), with a sink callable from
+  // an AVX-512 function (a lambda with TANGRAM_AVX512_TARGET).  The states
+  // of a block's outputs 0 .. 7 are in `lo`, those of 8 .. 15 in `hi`.
+  template <class Sink>
+  __attribute__((target(TANGRAM_AVX512_TARGET))) std::size_t draw_avx512(
+      std::size_t n, Sink&& sink) {
+    static constexpr std::size_t kLanes = 16;
+    static constexpr Jump kJump = jump(static_cast<int>(kLanes));
+    if (n < kLanes) return 0;
+    long long s[kLanes] = {};
+    for (auto& lane : s) {
+      lane = static_cast<long long>(state_);
+      state_ = state_ * kMult + inc_;
+    }
+    __m512i lo = _mm512_loadu_si512(s);
+    __m512i hi = _mm512_loadu_si512(s + 8);
+    const __m512i mult = _mm512_set1_epi64(static_cast<long long>(kJump.mult));
+    const __m512i inc =
+        _mm512_set1_epi64(static_cast<long long>(kJump.inc_scale * inc_));
+    const std::size_t blocks = n / kLanes;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      sink(b * kLanes, output_words(lo), output_words(hi));
+      lo = _mm512_add_epi64(_mm512_mullo_epi64(lo, mult), inc);
+      hi = _mm512_add_epi64(_mm512_mullo_epi64(hi, mult), inc);
+    }
+    state_ = static_cast<std::uint64_t>(
+        _mm_cvtsi128_si64(_mm512_castsi512_si128(lo)));
+    return blocks * kLanes;
+  }
+#endif
 
   std::uint64_t next_u64() {
     return (static_cast<std::uint64_t>(next_u32()) << 32) | next_u32();
@@ -147,8 +203,6 @@ class Rng {
   }
 
 #if TANGRAM_AVX2_KERNELS
-  static constexpr std::size_t kLanes = 8;
-
   // One step of four lanes: s * mult + inc mod 2^64, the 64-bit product
   // built from three 32 x 32 -> 64 multiplies (the high x high term only
   // reaches bits >= 64).
@@ -179,6 +233,7 @@ class Rng {
   // interleaves the two into output order.
   __attribute__((target("avx2"))) std::size_t fill_u32_avx2(
       std::uint32_t* out, std::size_t n) {
+    static constexpr std::size_t kLanes = 8;
     static constexpr Jump kJump = jump(static_cast<int>(kLanes));
     long long s[kLanes] = {};
     for (auto& lane : s) {
@@ -204,6 +259,28 @@ class Rng {
     state_ = static_cast<std::uint64_t>(
         _mm_cvtsi128_si64(_mm256_castsi256_si128(even)));
     return blocks * kLanes;
+  }
+
+  // next_u32()'s output function of eight lanes: the low 32 bits of the
+  // xorshifted word and of the rotation count, then a 32-bit rotate.
+  __attribute__((target(TANGRAM_AVX512_TARGET), always_inline)) static __m256i
+  output_words(__m512i s) {
+    const __m512i x = _mm512_srli_epi64(
+        _mm512_xor_si512(_mm512_srli_epi64(s, 18), s), 27);
+    return _mm256_rorv_epi32(_mm512_cvtepi64_epi32(x),
+                             _mm512_cvtepi64_epi32(_mm512_srli_epi64(s, 59)));
+  }
+
+  // fill_u32() for the whole blocks of 16 in out[0 .. n); returns how many
+  // outputs it wrote.
+  __attribute__((target(TANGRAM_AVX512_TARGET))) std::size_t fill_u32_avx512(
+      std::uint32_t* out, std::size_t n) {
+    return draw_avx512(
+        n, [out](std::size_t i, __m256i first, __m256i second) __attribute__((
+               target(TANGRAM_AVX512_TARGET), always_inline)) {
+          _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), first);
+          _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 8), second);
+        });
   }
 #endif
 

@@ -246,8 +246,15 @@ TANGRAM_HOT_PATH void FreeRectIndex::clear() {
   // few sessions the place() loop runs entirely on recycled capacity.
   while (!canvases_.empty()) retire_canvas();
   journal_.clear();
-  for (auto& bucket : buckets_) bucket.clear();
-  std::fill(bucket_bits_.begin(), bucket_bits_.end(), 0);
+  // A bucket's bit is set iff the bucket is non-empty, so visiting the set
+  // bits empties every bucket without touching the empty ones.
+  for (std::size_t word = 0; word < bucket_bits_.size(); ++word) {
+    for (std::uint64_t bits = bucket_bits_[word]; bits != 0;
+         bits &= bits - 1)
+      buckets_[word * 64 + static_cast<std::size_t>(std::countr_zero(bits))]
+          .clear();
+    bucket_bits_[word] = 0;
+  }
   total_rects_ = 0;
   // next_id_ / next_rect_id_ keep counting so pre-clear marks stay
   // detectably stale.

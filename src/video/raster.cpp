@@ -59,9 +59,50 @@ __attribute__((target("avx2"), always_inline)) inline __m128i noise4(
   return _mm256_cvttpd_epi32(clamped);
 }
 
-// The AVX2 kernel: draws a block of words with Rng::fill_u32, then turns
-// eight pixels at a time into bytes; a block's last n % 8 pixels take the
-// scalar expression on their words.
+// Eight pixels as noise4 computes four, each word converted exactly by
+// cvtepu32_pd.
+__attribute__((target(TANGRAM_AVX512_TARGET), always_inline)) inline __m256i
+noise8(const std::uint8_t* px, __m256i words, __m512d drift, __m512d lo,
+       __m512d span) {
+  const __m512d base = _mm512_add_pd(
+      _mm512_cvtepi32_pd(_mm256_cvtepu8_epi32(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(px)))),
+      drift);
+  const __m512d u =
+      _mm512_mul_pd(_mm512_cvtepu32_pd(words), _mm512_set1_pd(0x1.0p-32));
+  const __m512d noisy =
+      _mm512_add_pd(base, _mm512_add_pd(lo, _mm512_mul_pd(span, u)));
+  const __m512d clamped = _mm512_min_pd(
+      _mm512_max_pd(noisy, _mm512_setzero_pd()), _mm512_set1_pd(255.0));
+  return _mm512_cvttpd_epi32(clamped);
+}
+
+// The AVX-512 kernel: converts each block of 16 words as Rng::draw_avx512
+// draws it, so the words never leave registers, and the last n % 16 pixels
+// with noise_scalar.  vpmovdb keeps each int's low byte, which is the value
+// only because noise8 clamped it to [0, 255] first.
+__attribute__((target(TANGRAM_AVX512_TARGET))) void noise_avx512(
+    std::uint8_t* px, std::size_t n, double drift, double half_width,
+    common::Rng& rng) {
+  const double lo = -half_width;
+  const __m512d vdrift = _mm512_set1_pd(drift);
+  const __m512d vlo = _mm512_set1_pd(lo);
+  const __m512d vspan = _mm512_set1_pd(half_width - lo);
+  const std::size_t done = rng.draw_avx512(
+      n, [=](std::size_t i, __m256i first, __m256i second) __attribute__((
+             target(TANGRAM_AVX512_TARGET), always_inline)) {
+        const __m512i ints = _mm512_inserti64x4(
+            _mm512_castsi256_si512(noise8(px + i, first, vdrift, vlo, vspan)),
+            noise8(px + i + 8, second, vdrift, vlo, vspan), 1);
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(px + i),
+                         _mm512_cvtepi32_epi8(ints));
+      });
+  noise_scalar(px + done, n - done, drift, half_width, rng);
+}
+
+// The AVX2 kernel: draws a block of words with Rng::fill_u32 on the AVX2
+// tier, then turns eight pixels at a time into bytes; a block's last n % 8
+// pixels take the scalar expression on their words.
 __attribute__((target("avx2"))) void noise_avx2(std::uint8_t* px,
                                                 std::size_t n, double drift,
                                                 double half_width,
@@ -74,7 +115,7 @@ __attribute__((target("avx2"))) void noise_avx2(std::uint8_t* px,
   std::array<std::uint32_t, kNoiseBlock> words{};
   for (std::size_t at = 0; at < n; at += kNoiseBlock) {
     const std::size_t m = std::min(kNoiseBlock, n - at);
-    rng.fill_u32(words.data(), m);
+    rng.fill_u32(words.data(), m, common::SimdTier::kAvx2);
     std::uint8_t* block = px + at;
     std::size_t i = 0;
     for (; i + 8 <= m; i += 8) {
@@ -98,6 +139,10 @@ void add_noise(std::uint8_t* px, std::size_t n, double drift,
                double half_width, common::Rng& rng,
                [[maybe_unused]] detail::NoiseKernel kernel) {
 #if TANGRAM_AVX2_KERNELS
+  if (kernel == detail::NoiseKernel::kAvx512) {
+    noise_avx512(px, n, drift, half_width, rng);
+    return;
+  }
   if (kernel == detail::NoiseKernel::kAvx2) {
     noise_avx2(px, n, drift, half_width, rng);
     return;
@@ -120,10 +165,6 @@ double hash01(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
 }  // namespace
 
 namespace detail {
-
-bool noise_kernel_supported(NoiseKernel kernel) {
-  return kernel == NoiseKernel::kScalar || common::cpu_has_avx2();
-}
 
 void add_noise_with(std::uint8_t* px, std::size_t n, double drift,
                     double half_width, common::Rng& rng, NoiseKernel kernel) {
@@ -200,11 +241,7 @@ double FrameRasterizer::object_offset(int object_id) const {
 }
 
 Image FrameRasterizer::render(const FrameTruth& truth) {
-  static const detail::NoiseKernel kernel =
-      detail::noise_kernel_supported(detail::NoiseKernel::kAvx2)
-          ? detail::NoiseKernel::kAvx2
-          : detail::NoiseKernel::kScalar;
-  return render(truth, kernel);
+  return render(truth, common::best_simd_tier());
 }
 
 Image FrameRasterizer::render(const FrameTruth& truth,

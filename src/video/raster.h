@@ -14,21 +14,32 @@
 // pixels and are genuinely hard for the GMM to pick up, which is exactly the
 // failure mode the paper's adaptive partitioner exists to repair.
 //
-// Noise kernels.  The scalar kernel adds one uniform() draw per pixel.  On
-// x86-64 CPUs with AVX2 (common/cpu.h, checked once per process) render()
-// instead draws the noise in blocks of 512 words with Rng::fill_u32 and
-// turns eight pixels at a time into bytes.  It keeps the scalar expression,
-// (px + drift) + (lo + (hi - lo) * (word * 2^-32)) in double with no FMA
-// (the top-level CMakeLists.txt passes -ffp-contract=off), clamps it to
-// [0, 255] and truncates, so every frame, and the generator state left
-// behind, is byte-identical whichever kernel runs.  RasterConfig values that
-// would make a pixel NaN are rejected by the constructor.
+// Noise kernels.  render() adds one uniform() draw per pixel, on the best
+// SIMD tier of the CPU (common/cpu.h, checked once per process).  The
+// scalar kernel draws and converts pixel by pixel.  The AVX-512 kernel
+// converts 16 pixels at a time from each block of 16 words as
+// Rng::draw_avx512 draws it; the AVX2 kernel draws blocks of 512 words with
+// Rng::fill_u32 and converts eight pixels at a time.  Each keeps the scalar
+// expression, (px + drift) + (lo + (hi - lo) * (word * 2^-32)) in double
+// with no FMA (the top-level CMakeLists.txt passes -ffp-contract=off),
+// clamps it to [0, 255] and truncates, so every frame, and the generator
+// state left behind, is byte-identical whichever kernel runs:
+//   * a word converts to double exactly: cvtepu32_pd on AVX-512, a
+//     sign-bit flip, a signed convert and + 2^31 on AVX2;
+//   * the clamp is max_pd/min_pd in double, before any narrowing; AVX-512
+//     then narrows with vpmovdb, which keeps each int's low byte and so is
+//     the value only after the clamp, AVX2 with saturating packs;
+//   * the last n % 16 (AVX-512) or each 512-word block's last n % 8 (AVX2)
+//     pixels take the scalar expression on their drawn words.
+// RasterConfig values that would make a pixel NaN are rejected by the
+// constructor.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
+#include "common/cpu.h"
 #include "common/geometry.h"
 #include "common/rng.h"
 #include "video/image.h"
@@ -54,12 +65,13 @@ class FrameRasterizer;
 
 namespace detail {
 
-// The noise kernels render() chooses between.
-enum class NoiseKernel { kScalar, kAvx2 };
+// The noise kernels render() chooses between: one per SIMD tier.
+using NoiseKernel = common::SimdTier;
 
-// Whether this process can run `kernel` (kAvx2: an AVX2 build on a CPU with
-// AVX2).
-[[nodiscard]] bool noise_kernel_supported(NoiseKernel kernel);
+// Whether this process can run `kernel` (common/cpu.h).
+[[nodiscard]] inline bool noise_kernel_supported(NoiseKernel kernel) {
+  return common::simd_tier_supported(kernel);
+}
 
 // render()'s noise step on n pixels, forced to `kernel`, which must be
 // supported: px[i] becomes clamp(px[i] + drift + rng.uniform(-half_width,

@@ -219,11 +219,99 @@ void update_scalar(const Constants c, const Planes p,
 
 #if TANGRAM_AVX2_KERNELS
 
-// The K = 3 update, eight pixels per step, as lane masks.  Every helper is
-// inlined into update3_avx2, the one function compiled for AVX2; the rules
-// that keep each lane equal to the scalar update are listed in gmm.h.
-#define TANGRAM_AVX2_INLINE \
+// The x86 tiers of the K = 3 update: the primitive operations of each
+// width, then the shared body in gmm_lanes.inc.  Each primitive is the
+// scalar operation lane by lane, as gmm.h's rules require.
+
+namespace avx2 {
+
+#define TANGRAM_LANES_TARGET __attribute__((target("avx2")))
+#define TANGRAM_LANES_INLINE \
   __attribute__((target("avx2"), always_inline)) inline
+
+constexpr std::size_t kWidth = 8;
+constexpr int kAllBits = 0xFF;
+
+using F = __m256;
+using M = __m256;  // all-ones lanes where set
+using D = __m256d;
+using I = __m256i;
+struct Wide {
+  D lo, hi;
+};
+using WideMask = Wide;  // two all-ones double compares
+
+TANGRAM_LANES_INLINE F load(const float* p) { return _mm256_loadu_ps(p); }
+TANGRAM_LANES_INLINE void store(float* p, F x) { _mm256_storeu_ps(p, x); }
+TANGRAM_LANES_INLINE F splat(float x) { return _mm256_set1_ps(x); }
+TANGRAM_LANES_INLINE D splat(double x) { return _mm256_set1_pd(x); }
+TANGRAM_LANES_INLINE F add(F a, F b) { return _mm256_add_ps(a, b); }
+TANGRAM_LANES_INLINE F sub(F a, F b) { return _mm256_sub_ps(a, b); }
+TANGRAM_LANES_INLINE F mul(F a, F b) { return _mm256_mul_ps(a, b); }
+TANGRAM_LANES_INLINE D sub(D a, D b) { return _mm256_sub_pd(a, b); }
+TANGRAM_LANES_INLINE D mul(D a, D b) { return _mm256_mul_pd(a, b); }
+template <int P>
+TANGRAM_LANES_INLINE M cmp(F a, F b) {
+  return _mm256_cmp_ps(a, b, P);
+}
+template <int P>
+TANGRAM_LANES_INLINE D cmp(D a, D b) {
+  return _mm256_cmp_pd(a, b, P);
+}
+
+// Pixel bytes as ints, their exact doubles, their exact floats.
+TANGRAM_LANES_INLINE I load_bytes(const std::uint8_t* p) {
+  return _mm256_cvtepu8_epi32(
+      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+}
+TANGRAM_LANES_INLINE Wide to_wide(I x) {
+  return {_mm256_cvtepi32_pd(_mm256_castsi256_si128(x)),
+          _mm256_cvtepi32_pd(_mm256_extracti128_si256(x, 1))};
+}
+TANGRAM_LANES_INLINE F to_float(I x) { return _mm256_cvtepi32_ps(x); }
+
+// Exact widening (cvtps_pd); narrowing rounds like a scalar cast.
+TANGRAM_LANES_INLINE Wide widen(F x) {
+  return {_mm256_cvtps_pd(_mm256_castps256_ps128(x)),
+          _mm256_cvtps_pd(_mm256_extractf128_ps(x, 1))};
+}
+TANGRAM_LANES_INLINE F narrow(Wide x) {
+  return _mm256_insertf128_ps(_mm256_castps128_ps256(_mm256_cvtpd_ps(x.lo)),
+                              _mm256_cvtpd_ps(x.hi), 1);
+}
+
+TANGRAM_LANES_INLINE M none() { return _mm256_setzero_ps(); }
+TANGRAM_LANES_INLINE M and_(M a, M b) { return _mm256_and_ps(a, b); }
+TANGRAM_LANES_INLINE M or_(M a, M b) { return _mm256_or_ps(a, b); }
+// !a && b.
+TANGRAM_LANES_INLINE M andnot(M a, M b) { return _mm256_andnot_ps(a, b); }
+TANGRAM_LANES_INLINE M not_(M a) {
+  return _mm256_xor_ps(a, _mm256_castsi256_ps(_mm256_set1_epi32(-1)));
+}
+TANGRAM_LANES_INLINE int bits(M a) { return _mm256_movemask_ps(a); }
+
+TANGRAM_LANES_INLINE WideMask join(D lo, D hi) { return {lo, hi}; }
+TANGRAM_LANES_INLINE int bits(const WideMask& a) {
+  return _mm256_movemask_pd(a.lo) | (_mm256_movemask_pd(a.hi) << 4);
+}
+// Two four-lane double masks as one eight-lane float mask.
+TANGRAM_LANES_INLINE M pack(const WideMask& a) {
+  const __m256 pairs =
+      _mm256_shuffle_ps(_mm256_castpd_ps(a.lo), _mm256_castpd_ps(a.hi),
+                        _MM_SHUFFLE(2, 0, 2, 0));
+  return _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(pairs),
+                                                _MM_SHUFFLE(3, 1, 2, 0)));
+}
+
+// x where mask, else y; x where mask, else 0; w / s where mask, else w
+// (div_ps, never an approximate reciprocal).
+TANGRAM_LANES_INLINE F pick(M mask, F x, F y) {
+  return _mm256_blendv_ps(y, x, mask);
+}
+TANGRAM_LANES_INLINE F keep(M mask, F x) { return _mm256_and_ps(mask, x); }
+TANGRAM_LANES_INLINE F divide_where(M mask, F w, F s) {
+  return pick(mask, _mm256_div_ps(w, s), w);
+}
 
 // Mask bytes of a block, indexed by its background bits: byte j is 0 where
 // bit j is set and 255 where it is clear.
@@ -236,319 +324,113 @@ constexpr std::array<std::uint64_t, 256> make_mask_bytes() {
 }
 constexpr std::array<std::uint64_t, 256> kMaskBytes = make_mask_bytes();
 
-// Eight doubles: pixels 0-3 in lo, 4-7 in hi.
-struct Lanes {
-  __m256d lo, hi;
-};
-
-// One component of eight pixels.
-struct Component {
-  __m256 weight, mean, variance;
-};
-
-TANGRAM_AVX2_INLINE Lanes widen(__m256 x) {
-  return {_mm256_cvtps_pd(_mm256_castps256_ps128(x)),
-          _mm256_cvtps_pd(_mm256_extractf128_ps(x, 1))};
-}
-
-TANGRAM_AVX2_INLINE __m256 narrow(__m256d lo, __m256d hi) {
-  return _mm256_insertf128_ps(_mm256_castps128_ps256(_mm256_cvtpd_ps(lo)),
-                              _mm256_cvtpd_ps(hi), 1);
-}
-
-// Two four-lane double masks as one eight-lane float mask.
-TANGRAM_AVX2_INLINE __m256 pack_mask(__m256d lo, __m256d hi) {
-  const __m256 pairs =
-      _mm256_shuffle_ps(_mm256_castpd_ps(lo), _mm256_castpd_ps(hi),
-                        _MM_SHUFFLE(2, 0, 2, 0));
-  return _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(pairs),
-                                                _MM_SHUFFLE(3, 1, 2, 0)));
-}
-
-// !(w <= 0): the scalar loops' "keep going" test, true for NaN.
-TANGRAM_AVX2_INLINE __m256 not_le_zero(__m256 w) {
-  return _mm256_cmp_ps(w, _mm256_setzero_ps(), _CMP_NLE_UQ);
-}
-
-// d * d <= threshold * variance with d = value - mean, in double, as two
-// four-lane double masks ...
-TANGRAM_AVX2_INLINE Lanes matches_lanes(const Lanes& value, __m256 mean,
-                                        __m256 variance, __m256d threshold) {
-  const Lanes m = widen(mean);
-  const Lanes v = widen(variance);
-  const __m256d dlo = _mm256_sub_pd(value.lo, m.lo);
-  const __m256d dhi = _mm256_sub_pd(value.hi, m.hi);
-  return {_mm256_cmp_pd(_mm256_mul_pd(dlo, dlo),
-                        _mm256_mul_pd(threshold, v.lo), _CMP_LE_OQ),
-          _mm256_cmp_pd(_mm256_mul_pd(dhi, dhi),
-                        _mm256_mul_pd(threshold, v.hi), _CMP_LE_OQ)};
-}
-
-// ... and as one eight-lane float mask.
-TANGRAM_AVX2_INLINE __m256 matches(const Lanes& value, __m256 mean,
-                                   __m256 variance, __m256d threshold) {
-  const Lanes hit = matches_lanes(value, mean, variance, threshold);
-  return pack_mask(hit.lo, hit.hi);
-}
-
-// mean += float(rho * d); variance += float(rho * (d * d - variance));
-// variance = std::max(variance, min_variance).
-TANGRAM_AVX2_INLINE void pull(const Lanes& value, __m256& mean,
-                              __m256& variance, __m256d rho,
-                              __m256 min_variance) {
-  const Lanes m = widen(mean);
-  const Lanes v = widen(variance);
-  const __m256d dlo = _mm256_sub_pd(value.lo, m.lo);
-  const __m256d dhi = _mm256_sub_pd(value.hi, m.hi);
-  mean = _mm256_add_ps(
-      mean, narrow(_mm256_mul_pd(rho, dlo), _mm256_mul_pd(rho, dhi)));
-  const __m256d slo = _mm256_sub_pd(_mm256_mul_pd(dlo, dlo), v.lo);
-  const __m256d shi = _mm256_sub_pd(_mm256_mul_pd(dhi, dhi), v.hi);
-  variance = _mm256_add_ps(
-      variance, narrow(_mm256_mul_pd(rho, slo), _mm256_mul_pd(rho, shi)));
-  variance = _mm256_blendv_ps(
-      variance, min_variance,
-      _mm256_cmp_ps(variance, min_variance, _CMP_LT_OQ));
-}
-
-// w + alpha * ((owner ? 1.0f : 0.0f) - w).
-TANGRAM_AVX2_INLINE __m256 toward(__m256 w, __m256 owner, __m256 alpha) {
-  return _mm256_add_ps(
-      w, _mm256_mul_ps(alpha, _mm256_sub_ps(
-                                  _mm256_and_ps(owner, _mm256_set1_ps(1.0f)),
-                                  w)));
-}
-
-// std::max(0.0f, w), i.e. (0 < w) ? w : 0.
-TANGRAM_AVX2_INLINE __m256 positive_part(__m256 w) {
-  return _mm256_and_ps(_mm256_cmp_ps(_mm256_setzero_ps(), w, _CMP_LT_OQ), w);
-}
-
-// (double)acc >= ratio.
-TANGRAM_AVX2_INLINE __m256 at_least(__m256 acc, __m256d ratio) {
-  const Lanes a = widen(acc);
-  return pack_mask(_mm256_cmp_pd(a.lo, ratio, _CMP_GE_OQ),
-                   _mm256_cmp_pd(a.hi, ratio, _CMP_GE_OQ));
-}
-
-// x where mask, else y.
-TANGRAM_AVX2_INLINE __m256 pick(__m256 mask, __m256 x, __m256 y) {
-  return _mm256_blendv_ps(y, x, mask);
-}
-
-TANGRAM_AVX2_INLINE Component pick(__m256 mask, const Component& x,
-                                   const Component& y) {
-  return {pick(mask, x.weight, y.weight), pick(mask, x.mean, y.mean),
-          pick(mask, x.variance, y.variance)};
-}
-
-// if (b.weight > a.weight) std::swap(a, b);
-TANGRAM_AVX2_INLINE void order_pair(Component& a, Component& b) {
-  const __m256 swap = _mm256_cmp_ps(b.weight, a.weight, _CMP_GT_OQ);
-  const Component first = pick(swap, b, a);
-  b = pick(swap, a, b);
-  a = first;
-}
-
-TANGRAM_AVX2_INLINE __m256 load(const float* p) { return _mm256_loadu_ps(p); }
-
-// The mask bytes of eight pixels from their background bits.
-TANGRAM_AVX2_INLINE void store_mask(std::uint8_t* dst, int background) {
+TANGRAM_LANES_INLINE void store_mask(std::uint8_t* dst, int background) {
   const std::uint64_t bytes = kMaskBytes[static_cast<std::size_t>(background)];
   std::memcpy(dst, &bytes, sizeof bytes);
 }
 
-TANGRAM_AVX2_INLINE int bits(const Lanes& mask) {
-  return _mm256_movemask_pd(mask.lo) | (_mm256_movemask_pd(mask.hi) << 4);
+#include "vision/gmm_lanes.inc"
+
+#undef TANGRAM_LANES_TARGET
+#undef TANGRAM_LANES_INLINE
+
+}  // namespace avx2
+
+namespace avx512 {
+
+#define TANGRAM_LANES_TARGET __attribute__((target(TANGRAM_AVX512_TARGET)))
+#define TANGRAM_LANES_INLINE \
+  __attribute__((target(TANGRAM_AVX512_TARGET), always_inline)) inline
+
+constexpr std::size_t kWidth = 16;
+constexpr int kAllBits = 0xFFFF;
+
+using F = __m512;
+using M = __mmask16;  // k-mask: k-mask blends replace blendv
+using D = __m512d;
+using I = __m512i;
+struct Wide {
+  D lo, hi;
+};
+using WideMask = __mmask16;
+
+TANGRAM_LANES_INLINE F load(const float* p) { return _mm512_loadu_ps(p); }
+TANGRAM_LANES_INLINE void store(float* p, F x) { _mm512_storeu_ps(p, x); }
+TANGRAM_LANES_INLINE F splat(float x) { return _mm512_set1_ps(x); }
+TANGRAM_LANES_INLINE D splat(double x) { return _mm512_set1_pd(x); }
+TANGRAM_LANES_INLINE F add(F a, F b) { return _mm512_add_ps(a, b); }
+TANGRAM_LANES_INLINE F sub(F a, F b) { return _mm512_sub_ps(a, b); }
+TANGRAM_LANES_INLINE F mul(F a, F b) { return _mm512_mul_ps(a, b); }
+TANGRAM_LANES_INLINE D sub(D a, D b) { return _mm512_sub_pd(a, b); }
+TANGRAM_LANES_INLINE D mul(D a, D b) { return _mm512_mul_pd(a, b); }
+template <int P>
+TANGRAM_LANES_INLINE M cmp(F a, F b) {
+  return _mm512_cmp_ps_mask(a, b, P);
+}
+template <int P>
+TANGRAM_LANES_INLINE __mmask8 cmp(D a, D b) {
+  return _mm512_cmp_pd_mask(a, b, P);
 }
 
-__attribute__((target("avx2"))) void update3_avx2(const Constants& c,
-                                                  const Planes& p,
-                                                  const std::uint8_t* src,
-                                                  std::uint8_t* dst) {
-  const std::size_t n = p.n;
-  float* const w[3] = {p.weight, p.weight + n, p.weight + 2 * n};
-  float* const m[3] = {p.mean, p.mean + n, p.mean + 2 * n};
-  float* const v[3] = {p.variance, p.variance + n, p.variance + 2 * n};
+TANGRAM_LANES_INLINE I load_bytes(const std::uint8_t* p) {
+  return _mm512_cvtepu8_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+TANGRAM_LANES_INLINE Wide to_wide(I x) {
+  return {_mm512_cvtepi32_pd(_mm512_castsi512_si256(x)),
+          _mm512_cvtepi32_pd(_mm512_extracti64x4_epi64(x, 1))};
+}
+TANGRAM_LANES_INLINE F to_float(I x) { return _mm512_cvtepi32_ps(x); }
 
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 all = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
-  const __m256 alpha = _mm256_set1_ps(c.alpha);
-  const __m256 min_variance = _mm256_set1_ps(c.min_variance);
-  const __m256 initial_weight = _mm256_set1_ps(c.initial_weight);
-  const __m256 initial_variance = _mm256_set1_ps(c.initial_variance);
-  const __m256d rho = _mm256_set1_pd(c.rho);
-  const __m256d threshold = _mm256_set1_pd(c.threshold);
-  const __m256d ratio = _mm256_set1_pd(c.background_ratio);
-  const bool lone_exact = c.lone_exact;
-
-  std::size_t px = 0;
-  for (; px + 8 <= n; px += 8) {
-    const __m256i bytes = _mm256_cvtepu8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src + px)));
-    const Lanes value{
-        _mm256_cvtepi32_pd(_mm256_castsi256_si128(bytes)),
-        _mm256_cvtepi32_pd(_mm256_extracti128_si256(bytes, 1))};
-    Component g0{load(w[0] + px), load(m[0] + px), load(v[0] + px)};
-    const __m256 w1 = load(w[1] + px);
-    const __m256 w2 = load(w[2] + px);
-    const Lanes near0 = matches_lanes(value, g0.mean, g0.variance, threshold);
-
-    // 0. All eight lanes lone and matching component 0: only its mean and
-    //    variance change (see gmm.h).
-    if (lone_exact) {
-      const __m256 lone = _mm256_and_ps(
-          _mm256_and_ps(_mm256_cmp_ps(g0.weight, one, _CMP_EQ_OQ),
-                        _mm256_cmp_ps(w1, zero, _CMP_LE_OQ)),
-          _mm256_cmp_ps(w2, w1, _CMP_NGT_UQ));
-      if ((_mm256_movemask_ps(lone) & bits(near0)) == 0xFF) {
-        pull(value, g0.mean, g0.variance, rho, min_variance);
-        _mm256_storeu_ps(m[0] + px, g0.mean);
-        _mm256_storeu_ps(v[0] + px, g0.variance);
-        store_mask(dst + px, bits(matches_lanes(value, g0.mean, g0.variance,
-                                                threshold)));
-        continue;
-      }
-    }
-
-    Component g1{w1, load(m[1] + px), load(v[1] + px)};
-    Component g2{w2, load(m[2] + px), load(v[2] + px)};
-
-    // 1. First matching component: a lane searches component i while every
-    //    earlier component was live and missed.  Most blocks stop at
-    //    component 0, and skipping a test no lane reaches changes no lane.
-    const __m256 live0 = not_le_zero(g0.weight);
-    const __m256 live1 = not_le_zero(g1.weight);
-    const __m256 live2 = not_le_zero(g2.weight);
-    const __m256 hit0 = _mm256_and_ps(live0, pack_mask(near0.lo, near0.hi));
-    const __m256 seek1 = _mm256_and_ps(_mm256_andnot_ps(hit0, live0), live1);
-    __m256 hit1 = zero;
-    __m256 hit2 = zero;
-    if (_mm256_movemask_ps(seek1) != 0) {
-      hit1 = _mm256_and_ps(
-          seek1, matches(value, g1.mean, g1.variance, threshold));
-      const __m256 seek2 =
-          _mm256_and_ps(_mm256_andnot_ps(hit1, seek1), live2);
-      if (_mm256_movemask_ps(seek2) != 0)
-        hit2 = _mm256_and_ps(
-            seek2, matches(value, g2.mean, g2.variance, threshold));
-    }
-    const __m256 matched = _mm256_or_ps(_mm256_or_ps(hit0, hit1), hit2);
-    const __m256 missed = _mm256_xor_ps(matched, all);
-
-    // 2b's first weakest component, from the weights before any update:
-    // weakest = 0, then each i with w[i] < w[weakest].
-    const __m256 lt1 = _mm256_cmp_ps(g1.weight, g0.weight, _CMP_LT_OQ);
-    const __m256 lt2 = _mm256_cmp_ps(
-        g2.weight, pick(lt1, g1.weight, g0.weight), _CMP_LT_OQ);
-
-    // 2a. Pull the matched component toward the value ...
-    __m256 mean = pick(hit2, g2.mean, pick(hit1, g1.mean, g0.mean));
-    __m256 variance =
-        pick(hit2, g2.variance, pick(hit1, g1.variance, g0.variance));
-    pull(value, mean, variance, rho, min_variance);
-    g0.mean = pick(hit0, mean, g0.mean);
-    g1.mean = pick(hit1, mean, g1.mean);
-    g2.mean = pick(hit2, mean, g2.mean);
-    g0.variance = pick(hit0, variance, g0.variance);
-    g1.variance = pick(hit1, variance, g1.variance);
-    g2.variance = pick(hit2, variance, g2.variance);
-    //     ... and move the weights up to the first one <= 0 toward their
-    //     ownership indicators.
-    const __m256 up0 = _mm256_and_ps(matched, live0);
-    const __m256 up1 = _mm256_and_ps(up0, live1);
-    const __m256 up2 = _mm256_and_ps(up1, live2);
-    g0.weight = pick(up0, toward(g0.weight, hit0, alpha), g0.weight);
-    g1.weight = pick(up1, toward(g1.weight, hit1, alpha), g1.weight);
-    g2.weight = pick(up2, toward(g2.weight, hit2, alpha), g2.weight);
-
-    // 2b. No match: replace the weakest component with one centred on the
-    //     value.
-    if (_mm256_movemask_ps(missed) != 0) {
-      const Component here{initial_weight, _mm256_cvtepi32_ps(bytes),
-                           initial_variance};
-      g0 = pick(_mm256_andnot_ps(_mm256_or_ps(lt1, lt2), missed), here, g0);
-      g1 = pick(_mm256_andnot_ps(lt2, _mm256_and_ps(missed, lt1)), here, g1);
-      g2 = pick(_mm256_and_ps(missed, lt2), here, g2);
-    }
-
-    // 3. Renormalise (std::max(0.0f, w) summed in order) and restore
-    //    descending-weight order.  The network swaps nothing in a lane
-    //    unless one of its first two compares holds.
-    const __m256 wsum = _mm256_add_ps(
-        _mm256_add_ps(_mm256_add_ps(zero, positive_part(g0.weight)),
-                      positive_part(g1.weight)),
-        positive_part(g2.weight));
-    const __m256 positive = _mm256_cmp_ps(wsum, zero, _CMP_GT_OQ);
-    g0.weight = pick(positive, _mm256_div_ps(g0.weight, wsum), g0.weight);
-    g1.weight = pick(positive, _mm256_div_ps(g1.weight, wsum), g1.weight);
-    g2.weight = pick(positive, _mm256_div_ps(g2.weight, wsum), g2.weight);
-    if (_mm256_movemask_ps(_mm256_or_ps(
-            _mm256_cmp_ps(g1.weight, g0.weight, _CMP_GT_OQ),
-            _mm256_cmp_ps(g2.weight, g1.weight, _CMP_GT_OQ))) != 0) {
-      order_pair(g0, g1);
-      order_pair(g1, g2);
-      order_pair(g0, g1);
-    }
-
-    // 4. Background test: walk the components while they are live, have
-    //    not matched and have not accumulated background_ratio.
-    const __m256 on0 = not_le_zero(g0.weight);
-    __m256 acc = _mm256_add_ps(zero, g0.weight);
-    const __m256 bg0 = _mm256_and_ps(
-        on0, matches(value, g0.mean, g0.variance, threshold));
-    const __m256 on1 = _mm256_and_ps(
-        _mm256_andnot_ps(_mm256_or_ps(bg0, at_least(acc, ratio)), on0),
-        not_le_zero(g1.weight));
-    __m256 background = bg0;
-    if (_mm256_movemask_ps(on1) != 0) {
-      acc = _mm256_add_ps(acc, g1.weight);
-      const __m256 bg1 = _mm256_and_ps(
-          on1, matches(value, g1.mean, g1.variance, threshold));
-      background = _mm256_or_ps(background, bg1);
-      const __m256 on2 = _mm256_and_ps(
-          _mm256_andnot_ps(_mm256_or_ps(bg1, at_least(acc, ratio)), on1),
-          not_le_zero(g2.weight));
-      if (_mm256_movemask_ps(on2) != 0)
-        background = _mm256_or_ps(
-            background, _mm256_and_ps(on2, matches(value, g2.mean,
-                                                   g2.variance, threshold)));
-    }
-    store_mask(dst + px, _mm256_movemask_ps(background));
-
-    _mm256_storeu_ps(w[0] + px, g0.weight);
-    _mm256_storeu_ps(w[1] + px, g1.weight);
-    _mm256_storeu_ps(w[2] + px, g2.weight);
-    _mm256_storeu_ps(m[0] + px, g0.mean);
-    _mm256_storeu_ps(m[1] + px, g1.mean);
-    _mm256_storeu_ps(m[2] + px, g2.mean);
-    _mm256_storeu_ps(v[0] + px, g0.variance);
-    _mm256_storeu_ps(v[1] + px, g1.variance);
-    _mm256_storeu_ps(v[2] + px, g2.variance);
-  }
-  update_scalar<3>(c, p, src, dst, px, n);
+TANGRAM_LANES_INLINE Wide widen(F x) {
+  return {_mm512_cvtps_pd(_mm512_castps512_ps256(x)),
+          _mm512_cvtps_pd(_mm512_extractf32x8_ps(x, 1))};
+}
+TANGRAM_LANES_INLINE F narrow(Wide x) {
+  return _mm512_insertf32x8(_mm512_castps256_ps512(_mm512_cvtpd_ps(x.lo)),
+                            _mm512_cvtpd_ps(x.hi), 1);
 }
 
-#undef TANGRAM_AVX2_INLINE
+TANGRAM_LANES_INLINE M none() { return 0; }
+TANGRAM_LANES_INLINE M and_(M a, M b) { return _kand_mask16(a, b); }
+TANGRAM_LANES_INLINE M or_(M a, M b) { return _kor_mask16(a, b); }
+TANGRAM_LANES_INLINE M andnot(M a, M b) { return _kandn_mask16(a, b); }
+TANGRAM_LANES_INLINE M not_(M a) { return _knot_mask16(a); }
+TANGRAM_LANES_INLINE int bits(M a) { return a; }
 
-#else
-
-// Never called: gmm_kernel_supported(kAvx2) is false in this build.
-void update3_avx2(const Constants& c, const Planes& p, const std::uint8_t* src,
-                  std::uint8_t* dst) {
-  update_scalar<3>(c, p, src, dst, 0, p.n);
+TANGRAM_LANES_INLINE WideMask join(__mmask8 lo, __mmask8 hi) {
+  return _mm512_kunpackb(hi, lo);
 }
+TANGRAM_LANES_INLINE M pack(WideMask a) { return a; }
+
+TANGRAM_LANES_INLINE F pick(M mask, F x, F y) {
+  return _mm512_mask_blend_ps(mask, y, x);
+}
+TANGRAM_LANES_INLINE F keep(M mask, F x) {
+  return _mm512_maskz_mov_ps(mask, x);
+}
+TANGRAM_LANES_INLINE F divide_where(M mask, F w, F s) {
+  return _mm512_mask_div_ps(w, mask, w, s);
+}
+
+// Byte j is 0 where bit j of `background` is set and 255 where it is clear.
+TANGRAM_LANES_INLINE void store_mask(std::uint8_t* dst, int background) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(dst),
+                   _mm_movm_epi8(_knot_mask16(static_cast<M>(background))));
+}
+
+#include "vision/gmm_lanes.inc"
+
+#undef TANGRAM_LANES_TARGET
+#undef TANGRAM_LANES_INLINE
+
+}  // namespace avx512
 
 #endif  // TANGRAM_AVX2_KERNELS
 
 }  // namespace
 
 namespace detail {
-
-bool gmm_kernel_supported(GmmKernel kernel) {
-  return kernel == GmmKernel::kScalar || common::cpu_has_avx2();
-}
 
 video::Mask gmm_apply_with(GmmBackgroundSubtractor& gmm,
                            const video::Image& frame, GmmKernel kernel) {
@@ -560,15 +442,11 @@ video::Mask gmm_apply_with(GmmBackgroundSubtractor& gmm,
 }  // namespace detail
 
 video::Mask GmmBackgroundSubtractor::apply(const video::Image& frame) {
-  static const detail::GmmKernel kernel =
-      detail::gmm_kernel_supported(detail::GmmKernel::kAvx2)
-          ? detail::GmmKernel::kAvx2
-          : detail::GmmKernel::kScalar;
-  return apply(frame, kernel);
+  return apply(frame, common::best_simd_tier());
 }
 
 video::Mask GmmBackgroundSubtractor::apply(
-    const video::Image& frame, detail::GmmKernel kernel) {
+    const video::Image& frame, [[maybe_unused]] detail::GmmKernel kernel) {
   if (frame.size() != size_)
     throw std::invalid_argument("GmmBackgroundSubtractor: frame size mismatch");
 
@@ -586,9 +464,14 @@ video::Mask GmmBackgroundSubtractor::apply(
       p.mean[px] = static_cast<float>(src[px]);
       p.variance[px] = variance;
     }
+#if TANGRAM_AVX2_KERNELS
+  } else if (params_.num_gaussians == 3 &&
+             kernel == detail::GmmKernel::kAvx512) {
+    avx512::update3(Constants(params_), p, src, fg.data());
   } else if (params_.num_gaussians == 3 &&
              kernel == detail::GmmKernel::kAvx2) {
-    update3_avx2(Constants(params_), p, src, fg.data());
+    avx2::update3(Constants(params_), p, src, fg.data());
+#endif
   } else if (params_.num_gaussians == 3) {
     update_scalar<3>(Constants(params_), p, src, fg.data(), 0, n);
   } else {

@@ -22,13 +22,16 @@
 // are kept in descending weight order by a fixed-size stable ordering
 // instead of std::sort.
 //
-// CPU dispatch (K = 3).  On x86-64 CPUs with AVX2 the K = 3 update runs
-// eight pixels at a time in one function compiled for AVX2 (GCC/Clang
-// target attribute; the rest of the build keeps its baseline ISA).  The
-// choice is made once per process by common::cpu_has_avx2() (common/cpu.h).
-// The scalar K = 3 kernel runs on other CPUs, in non-x86 and portable
-// builds and on the last n % 8 pixels.  Both produce the same bytes;
-// detail::gmm_apply_with() runs either one on purpose, which is how
+// CPU dispatch (K = 3).  The K = 3 update has one kernel per SIMD tier
+// (common/cpu.h), tried from the top: on x86-64 CPUs with AVX-512
+// (F/BW/DQ/VL) it runs 16 pixels per step, with AVX2 eight, each in one
+// function compiled for its tier (GCC/Clang target attribute; the rest of
+// the build keeps its baseline ISA).  Both x86 tiers are one body,
+// vision/gmm_lanes.inc, written over a tier's primitive operations.  The
+// choice is made once per process by common::best_simd_tier().  The scalar
+// K = 3 kernel runs on other CPUs, in non-x86 and portable builds and on the
+// last n % 16 (or n % 8) pixels.  All produce the same bytes;
+// detail::gmm_apply_with() runs any one on purpose, which is how
 // tests/test_gmm.cpp checks each against the reference.
 //
 // Bit-exactness contract.  Every foreground mask and every mixture value is
@@ -45,26 +48,35 @@
 //     passes -ffp-contract=off, because GCC contracts a*b+c into one
 //     fused multiply-add (one rounding instead of two) whenever -march
 //     enables FMA, even under -std=c++20.  That covers the intrinsics too.
-// The AVX2 kernel keeps the scalar operation order in every lane:
-//   * per-component steps are lane masks over all eight pixels: the scalar
-//     loop's breaks become "still searching" masks built from !(w <= 0),
-//     which, like the scalar test, keeps NaN weights in the search;
+// The AVX2 and AVX-512 kernels keep the scalar operation order in every
+// lane:
+//   * per-component steps are lane masks over all the block's pixels: the
+//     scalar loop's breaks become "still searching" masks built from
+//     !(w <= 0), which, like the scalar test, keeps NaN weights in the
+//     search;
 //   * every compare uses the ordered predicate of the scalar operator
 //     (<, <=, >, >= are false on NaN), and "!(a <= b)" is written as such;
-//   * std::max(v, minv) is blend(v, minv, v < minv) and std::max(0.0f, w) is
+//   * std::max(v, minv) is pick(v < minv, minv, v) and std::max(0.0f, w) is
 //     (0 < w) ? w : 0, not max_ps, whose NaN and signed-zero rules differ;
 //   * double steps widen each float lane exactly (cvtps_pd) and narrow with
 //     cvtpd_ps, which rounds like a scalar cast; wsum is summed in the
-//     scalar order and divided with div_ps, never an approximate reciprocal;
+//     scalar order and divided with div_ps (AVX-512: mask_div_ps on the
+//     lanes with wsum > 0), never an approximate reciprocal;
 //   * the background test's running weight is compared in double, as the
 //     scalar float-vs-double comparison promotes it;
 //   * a step no lane of a block reaches (a later component's match test,
 //     the replacement, the ordering network when no lane's first two
 //     compares hold) is skipped for that block, which changes no lane.
+// The AVX-512 kernel's masks are k-registers (__mmask16): k-mask blends
+// (mask_blend_ps) and zero-masking moves replace AVX2's blendv and
+// and-with-mask, and a compare's k-mask is exactly the lanes where the
+// scalar compare holds, so a lane's select is the scalar select.  Its two
+// eight-lane double compares join into one 16-lane mask (kunpackb), and
+// the mask bytes come from vpmovm2b of the inverted background bits.
 // Where weights turn NaN (an infinite learning rate), std::sort sees no
 // strict weak order and the original update's order is unspecified; there
-// the scalar K = 3 kernel defines the result, and the AVX2 kernel matches it
-// byte for byte.
+// the scalar K = 3 kernel defines the result, and both vector kernels match
+// it byte for byte.
 //
 // Lone-component fast path (K = 3).  On a static background most pixels
 // (76.6% of pixel-frames over catalog scenes 1/3/5/7) hold one component of
@@ -82,16 +94,18 @@
 //   * the background test sees weight 1 first, so the pixel is background
 //     iff it matches the updated component 0.
 // The fast path computes exactly those operations in the same double/float
-// order; every other state, and every miss, runs the full update.  The AVX2
-// kernel takes it for a block of eight pixels when all eight are lone and
-// match; any other block runs the full update on all eight lanes, which the
-// argument above shows gives lone, matching lanes the same bytes.
+// order; every other state, and every miss, runs the full update.  The
+// vector kernels take it for a block of 16 (or eight) pixels when all of
+// them are lone and match; any other block runs the full update on every
+// lane, which the argument above shows gives lone, matching lanes the same
+// bytes.
 
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/cpu.h"
 #include "video/image.h"
 
 namespace tangram::vision {
@@ -110,12 +124,14 @@ class GmmBackgroundSubtractor;
 
 namespace detail {
 
-// The K = 3 update implementations apply() chooses between.
-enum class GmmKernel { kScalar, kAvx2 };
+// The K = 3 update implementations apply() chooses between: one per SIMD
+// tier.
+using GmmKernel = common::SimdTier;
 
-// Whether this process can run `kernel` (kAvx2: an x86-64 build on a CPU
-// with AVX2).
-[[nodiscard]] bool gmm_kernel_supported(GmmKernel kernel);
+// Whether this process can run `kernel` (common/cpu.h).
+[[nodiscard]] inline bool gmm_kernel_supported(GmmKernel kernel) {
+  return common::simd_tier_supported(kernel);
+}
 
 // apply() with the K = 3 update forced to `kernel`, which must be supported.
 // For tests and benchmarks; other K ignore `kernel`.

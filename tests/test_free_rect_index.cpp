@@ -133,6 +133,44 @@ TEST(FreeRectIndex, MatchesReferenceAcrossRollbacks) {
   }
 }
 
+// clear() empties only the buckets whose bits are set.  An index cleared
+// after dense sessions (many canvases, free rects in most buckets, partial
+// rollbacks) must then place exactly like a freshly constructed one.
+TEST(FreeRectIndex, ClearedIndexPlacesLikeFreshOne) {
+  const common::Size canvas{333, 777};
+  common::Rng rng(23, 61);
+  FreeRectIndex reused(canvas);
+  for (int session = 0; session < 8; ++session) {
+    for (int step = 0; step < 400; ++step) {
+      const auto mark = reused.mark();
+      (void)reused.place(random_item(rng, canvas));
+      (void)reused.place({rng.uniform_int(1, 40), rng.uniform_int(1, 40)});
+      if (rng.bernoulli(0.2)) reused.rollback(mark);
+    }
+    ASSERT_GT(reused.free_rect_count(), 0u);
+    reused.clear();
+    ASSERT_EQ(reused.free_rect_count(), 0u);
+    ASSERT_EQ(reused.canvas_count(), 0);
+
+    FreeRectIndex fresh(canvas);
+    common::Rng items(static_cast<std::uint64_t>(session), 67);
+    for (int step = 0; step < 300; ++step) {
+      const common::Size item = items.bernoulli(0.7)
+                                    ? common::Size{items.uniform_int(1, 90),
+                                                   items.uniform_int(1, 90)}
+                                    : random_item(items, canvas);
+      const auto want = fresh.place(item);
+      const auto got = reused.place(item);
+      ASSERT_EQ(got.canvas_index, want.canvas_index)
+          << "session " << session << " step " << step;
+      ASSERT_EQ(got.position.x, want.position.x);
+      ASSERT_EQ(got.position.y, want.position.y);
+      ASSERT_EQ(reused.free_rect_count(), fresh.free_rect_count());
+    }
+    reused.clear();
+  }
+}
+
 TEST(FreeRectIndex, FreeRectCountTracksStore) {
   FreeRectIndex index({1024, 1024});
   EXPECT_EQ(index.free_rect_count(), 0u);

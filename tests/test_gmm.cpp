@@ -475,13 +475,17 @@ std::vector<GmmParams> kernel_param_sets() {
   return sets;
 }
 
-void expect_kernel_matches_reference(detail::GmmKernel kernel) {
+// Every kernel's masks and mixtures equal the reference's over every
+// parameter set, on sizes with n % 8 and n % 16 tails, and meet blocks of
+// `width` pixels (the kernel's lanes) both all lone and partly lone.
+void expect_kernel_matches_reference(detail::GmmKernel kernel,
+                                     std::size_t width) {
   constexpr int kFrames = 48;
   const std::vector<GmmParams> sets = kernel_param_sets();
   std::size_t mixed_blocks = 0, lone_blocks = 0;
   for (const common::Size size :
        {common::Size{1, 1}, common::Size{7, 3}, common::Size{9, 2},
-        common::Size{483, 5}}) {
+        common::Size{33, 1}, common::Size{483, 5}}) {
     for (std::size_t set = 0; set < sets.size(); ++set) {
       const std::string where = std::to_string(size.width) + "x" +
                                 std::to_string(size.height) +
@@ -493,14 +497,14 @@ void expect_kernel_matches_reference(detail::GmmKernel kernel) {
       for (int f = 0; f < kFrames; ++f) {
         const video::Image img = frames.next();
         const auto before = gmm.mixtures();
-        for (std::size_t b = 0; b + 8 <= img.pixel_count(); b += 8) {
-          int lone = 0;
-          for (std::size_t px = b; px < b + 8; ++px)
+        for (std::size_t b = 0; b + width <= img.pixel_count(); b += width) {
+          std::size_t lone = 0;
+          for (std::size_t px = b; px < b + width; ++px)
             lone += before[3 * px].weight == 1.0f &&
                     before[3 * px + 1].weight <= 0.0f &&
                     !(before[3 * px + 2].weight > before[3 * px + 1].weight);
-          mixed_blocks += lone > 0 && lone < 8;
-          lone_blocks += lone == 8;
+          mixed_blocks += lone > 0 && lone < width;
+          lone_blocks += lone == width;
         }
         const video::Mask got = detail::gmm_apply_with(gmm, img, kernel);
         const video::Mask want = reference.apply(img);
@@ -517,23 +521,28 @@ void expect_kernel_matches_reference(detail::GmmKernel kernel) {
 }
 
 TEST(GmmKernel, ScalarMatchesReference) {
-  expect_kernel_matches_reference(detail::GmmKernel::kScalar);
+  expect_kernel_matches_reference(detail::GmmKernel::kScalar, 8);
 }
 
 TEST(GmmKernel, Avx2MatchesReference) {
   if (!detail::gmm_kernel_supported(detail::GmmKernel::kAvx2))
     GTEST_SKIP() << "this CPU or build has no AVX2 kernel";
-  expect_kernel_matches_reference(detail::GmmKernel::kAvx2);
+  expect_kernel_matches_reference(detail::GmmKernel::kAvx2, 8);
+}
+
+TEST(GmmKernel, Avx512MatchesReference) {
+  if (!detail::gmm_kernel_supported(detail::GmmKernel::kAvx512))
+    GTEST_SKIP() << "this CPU or build has no AVX-512 kernel";
+  expect_kernel_matches_reference(detail::GmmKernel::kAvx512, 16);
 }
 
 // An infinite learning rate fills the model with infinite and NaN weights.
 // There the reference's std::sort (no strict weak order on NaN) parts ways
 // with the K = 3 ordering network, so the scalar kernel is the reference:
-// the AVX2 kernel must still reproduce it byte for byte, NaN compares in the
-// network and the match search included.
-TEST(GmmKernel, Avx2MatchesScalarOnNonFiniteModels) {
-  if (!detail::gmm_kernel_supported(detail::GmmKernel::kAvx2))
-    GTEST_SKIP() << "this CPU or build has no AVX2 kernel";
+// each vector kernel must still reproduce it byte for byte, NaN compares in
+// the network and the match search included.
+void expect_kernel_matches_scalar_on_non_finite_models(
+    detail::GmmKernel kernel) {
   const common::Size size{483, 5};
   for (const double learning_rate :
        {std::numeric_limits<double>::infinity(), 1e39, 0.9}) {
@@ -546,8 +555,7 @@ TEST(GmmKernel, Avx2MatchesScalarOnNonFiniteModels) {
     BusyFrames frames(rng, size);
     for (int f = 0; f < 48; ++f) {
       const video::Image img = frames.next();
-      const video::Mask got =
-          detail::gmm_apply_with(vector_gmm, img, detail::GmmKernel::kAvx2);
+      const video::Mask got = detail::gmm_apply_with(vector_gmm, img, kernel);
       const video::Mask want =
           detail::gmm_apply_with(scalar_gmm, img, detail::GmmKernel::kScalar);
       ASSERT_TRUE(std::equal(got.data(), got.data() + got.pixel_count(),
@@ -557,6 +565,19 @@ TEST(GmmKernel, Avx2MatchesScalarOnNonFiniteModels) {
           << "learning_rate=" << learning_rate << " frame=" << f;
     }
   }
+}
+
+TEST(GmmKernel, Avx2MatchesScalarOnNonFiniteModels) {
+  if (!detail::gmm_kernel_supported(detail::GmmKernel::kAvx2))
+    GTEST_SKIP() << "this CPU or build has no AVX2 kernel";
+  expect_kernel_matches_scalar_on_non_finite_models(detail::GmmKernel::kAvx2);
+}
+
+TEST(GmmKernel, Avx512MatchesScalarOnNonFiniteModels) {
+  if (!detail::gmm_kernel_supported(detail::GmmKernel::kAvx512))
+    GTEST_SKIP() << "this CPU or build has no AVX-512 kernel";
+  expect_kernel_matches_scalar_on_non_finite_models(
+      detail::GmmKernel::kAvx512);
 }
 
 }  // namespace

@@ -129,10 +129,11 @@ void reference_noise(std::uint8_t* px, std::size_t n, double drift,
 // Every kernel's bytes, and the generator state it leaves, equal the
 // reference on random draws over: flat 0 and 255 frames under drifts of
 // +-300 and beyond (both clamps fire), a ramp of every byte value, noise
-// widths from none to wider than the byte range, and sizes with n % 8
-// tails and partial fill blocks.
+// widths from none to wider than the byte range, and sizes with n % 8 and
+// n % 16 tails and partial fill blocks.
 void expect_noise_matches_reference(detail::NoiseKernel kernel) {
-  const std::size_t sizes[] = {1, 7, 8, 9, 15, 511, 512, 513, 1031};
+  const std::size_t sizes[] = {1,  7,  8,   9,   15,  16,  17,
+                               31, 33, 511, 512, 513, 1031};
   // +-1e12 leaves int32 range: a kernel that relied on saturating packs
   // instead of clamping in double would turn those pixels to 0.
   const double drifts[] = {0.0, 1.5, -2.7, 300.0, -300.0, 1e12, -1e12};
@@ -228,20 +229,21 @@ std::optional<KnifeEdge> knife_edge(std::uint32_t word, NoiseFormula wrong) {
   return std::nullopt;
 }
 
-// For each wrong order, and for a draw in an eight-pixel block as well as
-// one in the n % 8 tail, a flat frame whose byte, drift and noise width put
-// that pixel on a knife edge: `kernel` must match the reference byte for
-// byte.
-void expect_knife_edges_match_reference(detail::NoiseKernel kernel) {
-  constexpr std::size_t kPixels = 13;  // one block of eight, a tail of five
+// For each wrong order, and for a draw in one block of `width` pixels (the
+// kernel's lanes) as well as one in the n % width tail, a flat frame whose
+// byte, drift and noise width put that pixel on a knife edge: `kernel` must
+// match the reference byte for byte.
+void expect_knife_edges_match_reference(detail::NoiseKernel kernel,
+                                        std::size_t width) {
+  const std::size_t pixels = width + 5;  // one block, a tail of five
   const common::Rng seeded(2024, 11);
-  std::uint32_t words[kPixels];
+  std::vector<std::uint32_t> words(pixels);
   {
     common::Rng peek = seeded;
-    peek.fill_u32(words, kPixels);
+    peek.fill_u32(words.data(), pixels);
   }
-  for (const auto& [first, last] : {std::pair<std::size_t, std::size_t>{0, 8},
-                                    {8, kPixels}}) {
+  for (const auto& [first, last] :
+       {std::pair<std::size_t, std::size_t>{0, width}, {width, pixels}}) {
     std::size_t at = first;
     while (at < last && words[at] < 0xA0000000u) ++at;
     ASSERT_LT(at, last) << "no draw above 0.625 in [" << first << ", " << last
@@ -251,40 +253,52 @@ void expect_knife_edges_match_reference(detail::NoiseKernel kernel) {
                                                        kWrongOrders[w]);
       ASSERT_TRUE(edge.has_value())
           << "no knife edge for order " << w << ", draw " << at;
-      std::vector<std::uint8_t> expected(kPixels, edge->px);
+      std::vector<std::uint8_t> expected(pixels, edge->px);
       std::vector<std::uint8_t> actual = expected;
       common::Rng want = seeded, got = seeded;
-      reference_noise(expected.data(), kPixels, edge->drift, edge->half_width,
+      reference_noise(expected.data(), pixels, edge->drift, edge->half_width,
                       want);
-      detail::add_noise_with(actual.data(), kPixels, edge->drift,
+      detail::add_noise_with(actual.data(), pixels, edge->drift,
                              edge->half_width, got, kernel);
       ASSERT_EQ(actual, expected) << "order " << w << ", draw " << at;
     }
   }
 }
 
+// The two kernels agree on a full analysis frame, generator state included.
+void expect_frame_matches_scalar(detail::NoiseKernel kernel) {
+  constexpr std::size_t kPixels = 480 * 270;
+  std::vector<std::uint8_t> scalar(kPixels), lanes(kPixels);
+  for (std::size_t i = 0; i < kPixels; ++i)
+    scalar[i] = lanes[i] = static_cast<std::uint8_t>(60 + i % 141);
+  common::Rng a(99, 11), b(99, 11);
+  detail::add_noise_with(scalar.data(), kPixels, -1.2, 2.2 * 1.7320508, a,
+                         detail::NoiseKernel::kScalar);
+  detail::add_noise_with(lanes.data(), kPixels, -1.2, 2.2 * 1.7320508, b,
+                         kernel);
+  EXPECT_EQ(lanes, scalar);
+  EXPECT_EQ(b.next_u32(), a.next_u32());
+}
+
 TEST(RasterNoise, ScalarMatchesReference) {
   expect_noise_matches_reference(detail::NoiseKernel::kScalar);
-  expect_knife_edges_match_reference(detail::NoiseKernel::kScalar);
+  expect_knife_edges_match_reference(detail::NoiseKernel::kScalar, 8);
 }
 
 TEST(RasterNoise, Avx2MatchesScalar) {
   if (!detail::noise_kernel_supported(detail::NoiseKernel::kAvx2))
     GTEST_SKIP() << "this CPU or build has no AVX2 kernel";
   expect_noise_matches_reference(detail::NoiseKernel::kAvx2);
-  expect_knife_edges_match_reference(detail::NoiseKernel::kAvx2);
-  // And the two kernels agree with each other on a full analysis frame.
-  constexpr std::size_t kPixels = 480 * 270;
-  std::vector<std::uint8_t> scalar(kPixels), avx2(kPixels);
-  for (std::size_t i = 0; i < kPixels; ++i)
-    scalar[i] = avx2[i] = static_cast<std::uint8_t>(60 + i % 141);
-  common::Rng a(99, 11), b(99, 11);
-  detail::add_noise_with(scalar.data(), kPixels, -1.2, 2.2 * 1.7320508, a,
-                         detail::NoiseKernel::kScalar);
-  detail::add_noise_with(avx2.data(), kPixels, -1.2, 2.2 * 1.7320508, b,
-                         detail::NoiseKernel::kAvx2);
-  EXPECT_EQ(avx2, scalar);
-  EXPECT_EQ(b.next_u32(), a.next_u32());
+  expect_knife_edges_match_reference(detail::NoiseKernel::kAvx2, 8);
+  expect_frame_matches_scalar(detail::NoiseKernel::kAvx2);
+}
+
+TEST(RasterNoise, Avx512MatchesScalar) {
+  if (!detail::noise_kernel_supported(detail::NoiseKernel::kAvx512))
+    GTEST_SKIP() << "this CPU or build has no AVX-512 kernel";
+  expect_noise_matches_reference(detail::NoiseKernel::kAvx512);
+  expect_knife_edges_match_reference(detail::NoiseKernel::kAvx512, 16);
+  expect_frame_matches_scalar(detail::NoiseKernel::kAvx512);
 }
 
 TEST(Image, FillRectClamps) {

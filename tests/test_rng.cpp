@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -128,13 +130,14 @@ TEST(Rng, ForkProducesIndependentStream) {
   EXPECT_LT(equal, 5);
 }
 
-TEST(Rng, FillU32MatchesSequentialDraws) {
-  // fill_u32 must write exactly the next n next_u32() outputs, nothing past
-  // them, and leave the generator where n calls would: the lane path (whole
-  // blocks of eight, on AVX2 CPUs) and the tail both count.  The writes
-  // start one word into the buffer so the block stores are unaligned.
+// fill_u32 on `tier` (the default dispatch when empty) must write exactly
+// the next n next_u32() outputs, nothing past them, and leave the generator
+// where n calls would: the lane path (whole blocks of 8 or 16) and the tail
+// both count.  The writes start one word into the buffer so the block
+// stores are unaligned.
+void expect_fill_matches_sequential_draws(const std::vector<std::size_t>& sizes,
+                                          std::optional<SimdTier> tier) {
   constexpr std::uint32_t kGuard = 0xDEADBEEF;
-  const std::size_t sizes[] = {0, 1, 7, 8, 9, 15, 16, 17, 129603};
   const std::uint64_t seeds[] = {0, 1, 99, 0x853c49e6748fea9bULL,
                                  0xFFFFFFFFFFFFFFFFULL};
   const std::uint64_t streams[] = {0, 1, 11, 0x7FFFFFFFFFFFFFFFULL};
@@ -148,7 +151,10 @@ TEST(Rng, FillU32MatchesSequentialDraws) {
         for (int i = 0; i < 3; ++i)
           ASSERT_EQ(block.next_u32(), serial.next_u32());
         std::vector<std::uint32_t> buffer(n + 2, kGuard);
-        block.fill_u32(buffer.data() + 1, n);
+        if (tier)
+          block.fill_u32(buffer.data() + 1, n, *tier);
+        else
+          block.fill_u32(buffer.data() + 1, n);
         ASSERT_EQ(buffer.front(), kGuard);
         ASSERT_EQ(buffer.back(), kGuard);
         for (std::size_t i = 0; i < n; ++i)
@@ -156,6 +162,30 @@ TEST(Rng, FillU32MatchesSequentialDraws) {
         ASSERT_EQ(block.next_u32(), serial.next_u32()) << "draw after fill";
         ASSERT_EQ(block.next_u64(), serial.next_u64());
       }
+}
+
+TEST(Rng, FillU32MatchesSequentialDraws) {
+  const std::vector<std::size_t> sizes = {0, 1, 7, 8, 9, 15, 16, 17, 129603};
+  expect_fill_matches_sequential_draws(sizes, std::nullopt);
+  expect_fill_matches_sequential_draws(sizes, SimdTier::kScalar);
+  if (simd_tier_supported(SimdTier::kAvx2))
+    expect_fill_matches_sequential_draws(sizes, SimdTier::kAvx2);
+}
+
+TEST(Rng, FillU32Avx512MatchesSequentialDraws) {
+  if (!simd_tier_supported(SimdTier::kAvx512))
+    GTEST_SKIP() << "this CPU or build has no AVX-512 tier";
+  expect_fill_matches_sequential_draws(
+      {0, 1, 8, 15, 16, 17, 31, 32, 33, 129600, 129603}, SimdTier::kAvx512);
+}
+
+TEST(Rng, FillU32RejectsUnsupportedTier) {
+  if (simd_tier_supported(SimdTier::kAvx512))
+    GTEST_SKIP() << "every tier is supported here";
+  Rng rng(1, 2);
+  std::uint32_t word = 0;
+  EXPECT_THROW(rng.fill_u32(&word, 1, SimdTier::kAvx512),
+               std::invalid_argument);
 }
 
 TEST(Rng, ConcurrentSameSeedStreamsIdentical) {
