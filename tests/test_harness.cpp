@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <vector>
+
 namespace tangram::experiments {
 namespace {
 
@@ -248,6 +252,159 @@ TEST_F(HarnessTest, RunShardedAddsReservedLegWhenPoolsAreWired) {
       reserved.sharded_reserved.class_completions_misses(0.4);
   EXPECT_EQ(reserved_tight.first, sharded_tight.first);
   EXPECT_LE(reserved_tight.second, sharded_tight.second);
+}
+
+// --- end-to-end goldens -----------------------------------------------------
+// FNV-1a over every RunResult scalar and every Sampler's values (insertion
+// order), per StrategyKind.  The hashes pin run_end_to_end's simulation
+// bit for bit: any change to arrival order, batching, platform dispatch or
+// telemetry moves them.  The traces come out of the edge pipeline, so the
+// hashes also pass through the SIMD GMM and render kernels.
+
+std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+template <typename T>
+std::uint64_t fnv1a_field(std::uint64_t h, const T& value) {
+  return fnv1a_bytes(h, &value, sizeof(value));
+}
+
+std::uint64_t fnv1a_sampler(std::uint64_t h, const common::Sampler& s) {
+  h = fnv1a_field(h, s.count());
+  for (const double v : s.values()) h = fnv1a_field(h, v);
+  return h;
+}
+
+std::uint64_t run_hash(const RunResult& r) {
+  std::uint64_t h = 1469598103934665603ull;
+  h = fnv1a_bytes(h, r.strategy.data(), r.strategy.size());
+  h = fnv1a_field(h, r.total_cost);
+  h = fnv1a_field(h, r.invocations);
+  h = fnv1a_field(h, r.instances_created);
+  h = fnv1a_field(h, r.fleet_size);
+  h = fnv1a_field(h, r.stragglers);
+  h = fnv1a_field(h, r.retries);
+  h = fnv1a_field(h, r.completed_items);
+  h = fnv1a_field(h, r.violations);
+  h = fnv1a_sampler(h, r.e2e_latency);
+  h = fnv1a_sampler(h, r.exec_latency);
+  h = fnv1a_sampler(h, r.canvas_efficiency);
+  h = fnv1a_sampler(h, r.batch_canvases);
+  h = fnv1a_sampler(h, r.batch_patches);
+  h = fnv1a_field(h, r.total_bytes);
+  h = fnv1a_field(h, r.transmission_busy_s);
+  h = fnv1a_field(h, r.execution_busy_s);
+  h = fnv1a_field(h, r.makespan_s);
+  h = fnv1a_field(h, r.eval_frames);
+  return h;
+}
+
+constexpr std::array<StrategyKind, 6> kAllKinds = {
+    StrategyKind::kTangram, StrategyKind::kFullFrame,
+    StrategyKind::kMaskedFrame, StrategyKind::kElf,
+    StrategyKind::kClipper, StrategyKind::kMArk};
+
+using KindHashes = std::array<std::uint64_t, kAllKinds.size()>;
+
+class EndToEndGolden : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    TraceConfig config;
+    config.raster.analysis = {320, 180};
+    a_ = new SceneTrace(build_trace(video::test_scene(41), config));
+    b_ = new SceneTrace(build_trace(video::test_scene(43), config));
+  }
+  static void TearDownTestSuite() {
+    delete a_;
+    delete b_;
+    a_ = b_ = nullptr;
+  }
+
+  static void expect_hashes(const std::vector<const SceneTrace*>& cameras,
+                            const EndToEndConfig& config,
+                            const KindHashes& golden) {
+    for (std::size_t k = 0; k < kAllKinds.size(); ++k) {
+      const std::uint64_t h =
+          run_hash(run_end_to_end(cameras, kAllKinds[k], config));
+      EXPECT_EQ(h, golden[k])
+          << to_string(kAllKinds[k]) << ": 0x" << std::hex << h << "ull";
+    }
+  }
+
+  static SceneTrace* a_;
+  static SceneTrace* b_;
+};
+
+SceneTrace* EndToEndGolden::a_ = nullptr;
+SceneTrace* EndToEndGolden::b_ = nullptr;
+
+TEST_F(EndToEndGolden, DefaultConfig) {
+  expect_hashes({a_, b_}, EndToEndConfig{},
+                {0x1f5c9de26d5e23fbull, 0x39fba7007fe32cf8ull,
+                 0x34e629e96c80d270ull, 0xe20cf775a01f0bb8ull,
+                 0x80fea92c9f782180ull, 0x884c72d12d1b841full});
+}
+
+TEST_F(EndToEndGolden, PerCameraSlo) {
+  EndToEndConfig config;
+  config.per_camera_slo = {0.5, 2.0};
+  expect_hashes({a_, b_, a_}, config,
+                {0x72a89db293c03102ull, 0xaf1f2c3117bb9d46ull,
+                 0xb9b7b4d6dbfc362bull, 0x56f6c16586c8d166ull,
+                 0x034fe4cc6d82a889ull, 0xf0b5a8906180fedfull});
+}
+
+TEST_F(EndToEndGolden, DedicatedUplinks) {
+  EndToEndConfig config;
+  config.bandwidth_mbps = 10.0;
+  config.dedicated_uplinks = true;
+  expect_hashes({a_, b_}, config,
+                {0x316089f1510e4001ull, 0xa0b0c047e3c30b3eull,
+                 0xdcd86f33e10f2eb4ull, 0x39976b3f88fed6b8ull,
+                 0xe3242fd979adca32ull, 0x68231e85701f14deull});
+}
+
+TEST_F(EndToEndGolden, FaultsOn) {
+  EndToEndConfig config;
+  config.platform.faults.straggler_probability = 0.1;
+  config.platform.faults.straggler_factor = 3.0;
+  config.platform.faults.failure_probability = 0.05;
+  expect_hashes({a_, b_}, config,
+                {0x30144a4635fdf5e8ull, 0xafd982d9976d16a4ull,
+                 0x1809b87c42127424ull, 0x462db0c9f1856312ull,
+                 0x56fe21d917aee2a7ull, 0xffaea37ac270a6a6ull});
+}
+
+TEST_F(EndToEndGolden, ShelfFirstFitOn512Canvas) {
+  EndToEndConfig config;
+  config.heuristic = core::PackHeuristic::kShelfFirstFit;
+  config.canvas = {512, 512};
+  expect_hashes({a_, b_}, config,
+                {0x844730100610772bull, 0x39fba7007fe32cf8ull,
+                 0x34e629e96c80d270ull, 0xe20cf775a01f0bb8ull,
+                 0x80fea92c9f782180ull, 0x884c72d12d1b841full});
+}
+
+TEST_F(EndToEndGolden, MixedFpsUnstaggeredSharedUplink) {
+  // Frames of different cameras land on the same instants; the goldens pin
+  // the order those ties resolve in.
+  SceneTrace two_fps = *b_;
+  two_fps.spec.fps = 2.0;
+  SceneTrace half_fps = *a_;
+  half_fps.spec.fps = 0.5;
+  EndToEndConfig config;
+  config.stagger_cameras = false;
+  config.bandwidth_mbps = 20.0;
+  expect_hashes({a_, &two_fps, &half_fps}, config,
+                {0x925c3fdcbae115f6ull, 0xceb3fc6dba671cccull,
+                 0xb896ce3c2263240eull, 0x71f1b9f8d6acec82ull,
+                 0xdbd12efd083bdbf1ull, 0x131d70a10d4ea6f3ull});
 }
 
 TEST(HarnessNames, StrategyNamesAreStable) {
