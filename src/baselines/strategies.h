@@ -1,11 +1,12 @@
-// Cloud-side scheduling strategies: Tangram and the four baselines the paper
-// evaluates against (Section V-A).
+// Cloud-side baseline strategies: the five schemes the paper evaluates
+// Tangram against (Section V-A).  Tangram itself — patch stitching onto
+// canvases plus the online SLO-aware batching invoker (Algorithm 2) — lives
+// in core::TangramSystem; experiments::run_end_to_end runs it there, on the
+// same arrival stream.
 //
-// Every strategy consumes the same arrival stream and submits requests to
-// the same FunctionPlatform; they differ only in *how and when* they invoke:
+// Every baseline submits requests to a FunctionPlatform; they differ only
+// in *how and when* they invoke:
 //
-//  * Tangram      — patch stitching onto canvases + the online SLO-aware
-//                   batching invoker (Algorithm 2);
 //  * Full Frame   — one invocation per full-resolution frame;
 //  * Masked Frame — one invocation per masked frame (AdaMask-style: same
 //                   resolution, background blanked, mild compute discount);
@@ -25,14 +26,10 @@
 
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/estimator.h"
-#include "core/invoker.h"
 #include "core/patch.h"
-#include "core/stitcher.h"
 #include "serverless/platform.h"
 #include "sim/simulator.h"
 
@@ -64,35 +61,6 @@ class Strategy {
   virtual void on_frame(const FrameWork& frame);
   // End of stream: dispatch anything still queued.
   virtual void flush() {}
-};
-
-// --- Tangram -----------------------------------------------------------------
-
-struct TangramOptions {
-  common::Size canvas{1024, 1024};
-  double slack_sigma_multiplier = 3.0;
-  core::PackHeuristic heuristic = core::PackHeuristic::kGuillotineBssf;
-};
-
-class TangramStrategy final : public Strategy {
- public:
-  TangramStrategy(sim::Simulator& simulator,
-                  serverless::FunctionPlatform& platform,
-                  TangramOptions options, PatchCompletionFn on_done);
-  [[nodiscard]] std::string name() const override { return "Tangram"; }
-  void on_patch(const core::Patch& patch) override;
-  void flush() override;
-
-  [[nodiscard]] const core::SloAwareInvoker& invoker() const {
-    return *invoker_;
-  }
-
- private:
-  serverless::FunctionPlatform& platform_;
-  TangramOptions options_;
-  std::unique_ptr<core::LatencyEstimator> estimator_;
-  std::unique_ptr<core::SloAwareInvoker> invoker_;
-  PatchCompletionFn on_done_;
 };
 
 // --- Full / Masked frame -------------------------------------------------------

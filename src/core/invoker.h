@@ -31,7 +31,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -49,15 +48,6 @@ struct InvokerConfig {
   // Maximum canvases per batch admitted by the function's GPU memory
   // (constraint (5)); obtain from FunctionPlatform::max_canvases_per_batch.
   int max_canvases = 9;
-  // Capacity pool this invoker's batches are invoked against (stamped by the
-  // pool/system wiring; empty = the platform's default pool).  Carried here
-  // so per-shard telemetry self-describes its concurrency domain.
-  std::string pool_key;
-  // Dense platform index of pool_key (serverless::FunctionPlatform::PoolId),
-  // interned once at wiring time so no dispatch-path component ever resolves
-  // the pool by string comparison; -1 = not wired to a specific pool (the
-  // platform's default pool).
-  int pool_id = -1;
   // Recycled storage for dispatched batches (see BatchPool).  Shards of one
   // system share a single pool so canvas capacity recirculates through the
   // whole dispatch loop; null = the invoker creates a private pool, which
@@ -231,11 +221,6 @@ class SloAwareInvoker {
   [[nodiscard]] std::size_t forced_flushes() const {
     return stats_.forced_flushes;
   }
-  [[nodiscard]] const std::string& pool_key() const {
-    return config_.pool_key;
-  }
-  // Interned platform index of pool_key; -1 when not wired to a named pool.
-  [[nodiscard]] int pool_id() const { return config_.pool_id; }
   // The recycled-batch arena dispatched batches come from (and must be
   // recycled into); shared across shards when the config wired one.
   [[nodiscard]] const std::shared_ptr<BatchPool>& batch_pool() const {

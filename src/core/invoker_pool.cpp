@@ -27,7 +27,7 @@ InvokerPool::InvokerPool(sim::Simulator& simulator, StitchSolver solver,
       solver_(solver),
       estimator_(estimator),
       config_(std::move(config)),
-      policy_(std::move(policy)),
+      policy_(policy),
       rebalance_(rebalance),
       invoke_(std::move(invoke)),
       shard_setup_(std::move(shard_setup)),
@@ -36,8 +36,6 @@ InvokerPool::InvokerPool(sim::Simulator& simulator, StitchSolver solver,
     throw std::invalid_argument("InvokerPool: invoke callback required");
   if (policy_.kind == ShardPolicy::Kind::kHashStream && policy_.hash_shards < 1)
     throw std::invalid_argument("InvokerPool: hash_shards must be >= 1");
-  if (policy_.kind == ShardPolicy::Kind::kCustom && !policy_.key_fn)
-    throw std::invalid_argument("InvokerPool: custom policy needs a key_fn");
   if (rebalance_.active() && rebalance_.interval_s <= 0.0)
     throw std::invalid_argument(
         "InvokerPool: rebalance interval_s must be > 0");
@@ -60,8 +58,6 @@ std::string InvokerPool::key_for(StreamId stream,
       return "hash=" + std::to_string(static_cast<unsigned>(stream) %
                                       static_cast<unsigned>(
                                           policy_.hash_shards));
-    case ShardPolicy::Kind::kCustom:
-      return policy_.key_fn(stream, config);
   }
   throw std::logic_error("InvokerPool: unknown shard policy");
 }
@@ -72,8 +68,8 @@ int InvokerPool::shard_for_key(const std::string& key,
     if (keys_[i] == key) return static_cast<int>(i);
   const int index = static_cast<int>(shards_.size());
   InvokerConfig shard_config = config_;
-  // Capacity wiring point: the setup hook stamps pool_key / pool_headroom
-  // into this shard's config (after defining the pool on the platform).
+  // Capacity wiring point: the setup hook stamps pool_headroom into this
+  // shard's config (after defining the pool on the platform).
   if (shard_setup_) shard_setup_(index, key, first_stream, shard_config);
   keys_.push_back(key);
   shards_.push_back(std::make_unique<SloAwareInvoker>(

@@ -63,26 +63,19 @@ struct ShardPolicy {
     kSingle,       // every stream on one shard (legacy single-invoker layout)
     kPerSloClass,  // one shard per distinct SLO class (the default)
     kHashStream,   // stream id modulo hash_shards
-    kCustom,       // key_fn decides (e.g. shard by expected canvas size)
   };
 
   Kind kind = Kind::kPerSloClass;
   int hash_shards = 4;  // kHashStream only; must be >= 1
-  // kCustom only: distinct returned keys map to distinct shards.
-  std::function<std::string(StreamId, const StreamConfig&)> key_fn;
 
   [[nodiscard]] static ShardPolicy single() {
-    return ShardPolicy{Kind::kSingle, 1, nullptr};
+    return ShardPolicy{Kind::kSingle, 1};
   }
   [[nodiscard]] static ShardPolicy per_slo_class() {
-    return ShardPolicy{Kind::kPerSloClass, 1, nullptr};
+    return ShardPolicy{Kind::kPerSloClass, 1};
   }
   [[nodiscard]] static ShardPolicy hashed(int shards) {
-    return ShardPolicy{Kind::kHashStream, shards, nullptr};
-  }
-  [[nodiscard]] static ShardPolicy custom(
-      std::function<std::string(StreamId, const StreamConfig&)> key_fn) {
-    return ShardPolicy{Kind::kCustom, 1, std::move(key_fn)};
+    return ShardPolicy{Kind::kHashStream, shards};
   }
 };
 
@@ -166,8 +159,8 @@ class InvokerPool {
   // Called once per shard, just before the shard is constructed, with the
   // shard's index, policy key, and the StreamConfig whose registration
   // created it (a default StreamConfig for kSingle's eager shard).  Mutate
-  // `config` to wire per-shard capacity: stamp InvokerConfig::pool_key /
-  // pool_headroom after defining a CapacityPool on the platform.
+  // `config` to wire per-shard capacity: stamp InvokerConfig::pool_headroom
+  // after defining a CapacityPool on the platform.
   using ShardSetupFn = std::function<void(
       int shard, const std::string& key, const StreamConfig& first_stream,
       InvokerConfig& config)>;

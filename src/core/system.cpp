@@ -99,8 +99,9 @@ TangramSystem::TangramSystem(sim::Simulator& simulator, Config config,
       config_.sharding,
       [this](int shard, Batch&& batch) { dispatch(shard, std::move(batch)); },
       // Capacity wiring: when a shard is created, carve its pool out of the
-      // platform fleet and stamp the shard config so batch dispatch (and the
-      // shard's saturation telemetry) run against that pool.
+      // platform fleet; dispatch routes the shard's batches to it through
+      // shard_pools_, and the headroom query feeds the shard's saturation
+      // telemetry.
       [this](int shard, const std::string& key, const StreamConfig& stream,
              InvokerConfig& shard_config) {
         if (static_cast<std::size_t>(shard) >= shard_pools_.size())
@@ -111,10 +112,6 @@ TangramSystem::TangramSystem(sim::Simulator& simulator, Config config,
         if (pool.name.empty()) return;
         const int pool_idx = platform_->define_pool(pool);
         shard_pools_[static_cast<std::size_t>(shard)] = pool_idx;
-        shard_config.pool_key = pool.name;
-        // Interned once here: no dispatch-path component resolves the pool
-        // by string key again.
-        shard_config.pool_id = pool_idx;
         shard_config.pool_headroom = [platform = platform_.get(), pool_idx] {
           return platform->pool_headroom(pool_idx);
         };
@@ -177,11 +174,6 @@ void TangramSystem::receive_patch(StreamId stream, Patch patch) {
     return;
   }
   submit(stream, std::move(patch));
-}
-
-void TangramSystem::receive_patch(Patch patch) {
-  if (streams_.empty()) register_stream(StreamConfig{"default", 0.0});
-  receive_patch(StreamId{0}, std::move(patch));
 }
 
 TANGRAM_HOT_PATH void TangramSystem::submit(StreamId stream, Patch patch) {

@@ -19,8 +19,7 @@
 // (default: one shard per SLO class, cutting head-of-line blocking between
 // classes; see ShardPolicy in core/invoker_pool.h).  Each stream carries its
 // own SLO class and per-stream telemetry (completions, SLO misses,
-// end-to-end latency, queue-to-invoke latency).  The legacy single-stream
-// calls keep working and route to an implicit default stream.
+// end-to-end latency, queue-to-invoke latency).
 //
 // Construction fails fast with std::invalid_argument when the configured
 // model + one canvas already exceed the function's GPU memory (constraint
@@ -32,7 +31,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -148,10 +146,6 @@ class TangramSystem {
   // std::invalid_argument on a deregistered one.
   void receive_patch(StreamId stream, Patch patch);
 
-  // Legacy single-stream entry: routes to stream 0, registering a default
-  // stream on first use if none exists yet.
-  void receive_patch(Patch patch);
-
   // Dispatch whatever is still queued (shutdown / end of stream).
   void flush();
 
@@ -165,17 +159,6 @@ class TangramSystem {
     return streams_;
   }
   [[nodiscard]] const InvokerPool& pool() const { return *pool_; }
-  // Legacy single-invoker view: shard 0.  Exact for ShardPolicy::single();
-  // with more shards, use pool() for routed shards and aggregate telemetry.
-  // Lazy policies create shards at register_stream time, so this throws
-  // std::logic_error until the first stream exists.
-  [[nodiscard]] const SloAwareInvoker& invoker() const {
-    if (pool_->shard_count() == 0)
-      throw std::logic_error(
-          "TangramSystem::invoker(): no shard exists yet — register a "
-          "stream first, or configure ShardPolicy::single()");
-    return pool_->shard(0);
-  }
   [[nodiscard]] const serverless::FunctionPlatform& platform() const {
     return *platform_;
   }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 #include "net/link.h"
@@ -69,6 +70,55 @@ core::Patch uplinked_patch(const FrameRecord& frame, std::uint32_t index,
   return patch;
 }
 
+// Capture time of eval frame i of camera `cam`: (start + phase) + i *
+// interval, where the phase staggers the fleet across one frame interval
+// (so a shared uplink sees interleaved arrivals rather than synchronized
+// bursts) and the start delays the whole camera.  Both runners evaluate
+// this one expression, term for term; a camera without a start adds an
+// exact 0.0.
+struct CaptureClock {
+  const std::vector<const SceneTrace*>& cameras;
+  bool stagger;
+  std::span<const double> start_s;  // cameras beyond it start at 0
+
+  double operator()(std::size_t cam, std::size_t i) const {
+    const double interval = 1.0 / cameras[cam]->spec.fps;
+    const double phase = stagger ? interval * static_cast<double>(cam) /
+                                       static_cast<double>(cameras.size())
+                                 : 0.0;
+    const double start = cam < start_s.size() ? start_s[cam] : 0.0;
+    return start + phase + static_cast<double>(i) * interval;
+  }
+};
+
+// The baseline of `kind` on the harness-owned platform.
+std::unique_ptr<baselines::Strategy> make_baseline(
+    StrategyKind kind, sim::Simulator& sim,
+    serverless::FunctionPlatform& platform, const EndToEndConfig& config,
+    baselines::PatchCompletionFn on_patch,
+    baselines::FrameCompletionFn on_frame) {
+  switch (kind) {
+    case StrategyKind::kTangram:
+      break;
+    case StrategyKind::kFullFrame:
+      return std::make_unique<baselines::FullFrameStrategy>(
+          platform, std::move(on_frame));
+    case StrategyKind::kMaskedFrame:
+      return std::make_unique<baselines::MaskedFrameStrategy>(
+          platform, std::move(on_frame));
+    case StrategyKind::kElf:
+      return std::make_unique<baselines::ElfStrategy>(platform, config.elf,
+                                                      std::move(on_patch));
+    case StrategyKind::kClipper:
+      return std::make_unique<baselines::ClipperStrategy>(
+          sim, platform, config.clipper, std::move(on_patch));
+    case StrategyKind::kMArk:
+      return std::make_unique<baselines::MArkStrategy>(
+          sim, platform, config.mark, std::move(on_patch));
+  }
+  throw std::logic_error("make_baseline: Tangram runs on core::TangramSystem");
+}
+
 }  // namespace
 
 RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
@@ -85,8 +135,6 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
   const auto link_of = [&](std::size_t cam) -> net::Link& {
     return *links[config.dedicated_uplinks ? cam : 0];
   };
-  serverless::FunctionPlatform platform(sim, config.platform, config.latency,
-                                        config.seed);
 
   RunResult result;
   result.strategy = to_string(kind);
@@ -106,61 +154,51 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
     if (record.finish_time > frame.deadline() + 1e-9) ++result.violations;
   };
 
+  // Tangram runs on the scheduler core itself: one invoker shard and one
+  // stream registered with slo_s = 0, so every patch keeps its camera's
+  // SLO.  The baselines share a harness-owned platform built the same way.
+  std::unique_ptr<core::TangramSystem> system;
+  std::unique_ptr<serverless::FunctionPlatform> platform;
   std::unique_ptr<baselines::Strategy> strategy;
-  baselines::TangramStrategy* tangram = nullptr;
-  switch (kind) {
-    case StrategyKind::kTangram: {
-      baselines::TangramOptions options;
-      options.canvas = config.canvas;
-      options.slack_sigma_multiplier = config.slack_sigma;
-      options.heuristic = config.heuristic;
-      auto t = std::make_unique<baselines::TangramStrategy>(
-          sim, platform, options, on_patch_done);
-      tangram = t.get();
-      strategy = std::move(t);
-      break;
-    }
-    case StrategyKind::kFullFrame:
-      strategy =
-          std::make_unique<baselines::FullFrameStrategy>(platform,
-                                                         on_frame_done);
-      break;
-    case StrategyKind::kMaskedFrame:
-      strategy = std::make_unique<baselines::MaskedFrameStrategy>(
-          platform, on_frame_done);
-      break;
-    case StrategyKind::kElf:
-      strategy = std::make_unique<baselines::ElfStrategy>(
-          platform, config.elf, on_patch_done);
-      break;
-    case StrategyKind::kClipper:
-      strategy = std::make_unique<baselines::ClipperStrategy>(
-          sim, platform, config.clipper, on_patch_done);
-      break;
-    case StrategyKind::kMArk:
-      strategy = std::make_unique<baselines::MArkStrategy>(
-          sim, platform, config.mark, on_patch_done);
-      break;
+  core::StreamId stream = 0;
+  if (kind == StrategyKind::kTangram) {
+    core::TangramSystem::Config system_config;
+    system_config.canvas = config.canvas;
+    system_config.slack_sigma = config.slack_sigma;
+    system_config.heuristic = config.heuristic;
+    system_config.platform = config.platform;
+    system_config.function_latency = config.latency;
+    system_config.sharding = core::ShardPolicy::single();
+    system_config.seed = config.seed;
+    system = std::make_unique<core::TangramSystem>(sim, system_config,
+                                                   on_patch_done);
+    stream = system->register_stream({"cameras", 0.0});
+  } else {
+    platform = std::make_unique<serverless::FunctionPlatform>(
+        sim, config.platform, config.latency, config.seed);
+    strategy = make_baseline(kind, sim, *platform, config, on_patch_done,
+                             on_frame_done);
   }
+  const auto deliver = [&](const core::Patch& patch) {
+    if (system)
+      system->receive_patch(stream, patch);
+    else
+      strategy->on_patch(patch);
+  };
 
-  // Schedule every evaluation frame of every camera.  Camera phases are
-  // staggered so the shared uplink sees an interleaved arrival process
-  // rather than synchronized frame bursts.
+  // Schedule every evaluation frame of every camera up front.  Chaining
+  // them like run_multistream would reorder same-instant frames of
+  // unstaggered cameras with different frame rates (EndToEndGolden pins
+  // this order).
+  const CaptureClock capture_time{cameras, config.stagger_cameras, {}};
   std::uint64_t next_patch_id = 1;
   for (std::size_t cam = 0; cam < cameras.size(); ++cam) {
     const SceneTrace& trace = *cameras[cam];
-    const double frame_interval = 1.0 / trace.spec.fps;
-    const double phase =
-        config.stagger_cameras
-            ? frame_interval * static_cast<double>(cam) /
-                  static_cast<double>(cameras.size())
-            : 0.0;
     result.eval_frames += trace.eval_frame_count();
 
     for (std::size_t i = 0; i < trace.eval_frame_count(); ++i) {
       const FrameRecord& frame = trace.eval_frame(i);
-      const double capture =
-          phase + static_cast<double>(i) * frame_interval;
+      const double capture = capture_time(cam, i);
       sim.schedule_at(capture + config.edge_latency_s, [&, cam, capture,
                                                         &frame = frame]() {
         if (is_frame_level(kind)) {
@@ -195,12 +233,12 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
           const std::uint64_t id = next_patch_id++;
           const auto index = static_cast<std::uint32_t>(p);
           const auto camera = static_cast<int>(cam);
-          link_of(cam).send(bytes, [&strategy, &frame, index, camera, id,
+          link_of(cam).send(bytes, [&deliver, &frame, index, camera, id,
                                     capture, slo] {
             core::Patch patch =
                 uplinked_patch(frame, index, id, camera, capture);
             patch.slo = slo;
-            strategy->on_patch(patch);
+            deliver(patch);
           });
         }
       });
@@ -208,24 +246,30 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
   }
 
   sim.run();
-  strategy->flush();
+  if (system)
+    system->flush();
+  else
+    strategy->flush();
   sim.run();
 
-  result.total_cost = platform.total_cost();
-  result.invocations = platform.invocations();
-  result.instances_created = platform.instances_created();
-  result.fleet_size = platform.fleet_size();
-  result.stragglers = platform.stragglers();
-  result.retries = platform.retries();
-  result.exec_latency = platform.execution_latency();
-  result.execution_busy_s = platform.busy_seconds();
+  const serverless::FunctionPlatform& used =
+      system ? system->platform() : *platform;
+  result.total_cost = used.total_cost();
+  result.invocations = used.invocations();
+  result.instances_created = used.instances_created();
+  result.fleet_size = used.fleet_size();
+  result.stragglers = used.stragglers();
+  result.retries = used.retries();
+  result.exec_latency = used.execution_latency();
+  result.execution_busy_s = used.busy_seconds();
   for (const auto& link : links)
     result.transmission_busy_s += link->transmission_time().sum();
   result.makespan_s = sim.now();
-  if (tangram != nullptr) {
-    result.canvas_efficiency = tangram->invoker().canvas_efficiency();
-    result.batch_canvases = tangram->invoker().batch_canvas_count();
-    result.batch_patches = tangram->invoker().batch_patch_count();
+  if (system) {
+    core::InvokerStats stats = system->pool().aggregate_stats();
+    result.canvas_efficiency = std::move(stats.canvas_efficiency);
+    result.batch_canvases = std::move(stats.batch_canvas_count);
+    result.batch_patches = std::move(stats.batch_patch_count);
   }
   return result;
 }
@@ -312,32 +356,20 @@ MultiStreamResult run_multistream(const std::vector<const SceneTrace*>& cameras,
   // Chained per-camera frame scheduling: each camera keeps exactly ONE
   // pending capture event — emitting frame i schedules frame i+1 — instead
   // of seeding streams x frames events up front, so the event queue (and the
-  // slot pool backing it) stays O(streams) at city scale.  The capture-time
-  // arithmetic is the legacy upfront loop's, term for term
-  // (phase + i * interval), and the chain preserves the upfront loop's
-  // same-timestamp ordering (cameras seed frame 0 in camera order; frame-i
-  // events execute in that order and schedule frame i+1 in the same order),
-  // so the simulation is byte-identical — regression-tested against the
-  // upfront baselines in tests/test_parallel_runner.cpp.
-  // Scripted load shapes (step / ramp) delay whole streams; start 0.0 adds
-  // an exact 0.0 to every capture time, so the default is byte-identical to
-  // the un-staged schedule.
-  const auto stream_start = [&config](std::size_t cam) {
-    return cam < config.per_stream_start_s.size()
-               ? config.per_stream_start_s[cam]
-               : 0.0;
-  };
+  // slot pool backing it) stays O(streams) at city scale.  Capture times
+  // come from the CaptureClock run_end_to_end uses, and the chain preserves
+  // the upfront loop's same-timestamp ordering (cameras seed frame 0 in
+  // camera order; frame-i events execute in that order and schedule frame
+  // i+1 in the same order), so the simulation is byte-identical —
+  // regression-tested against the upfront baselines in
+  // tests/test_parallel_runner.cpp.  Scripted load shapes (step / ramp)
+  // delay whole streams through per_stream_start_s.
+  const CaptureClock capture_time{cameras, config.stagger_cameras,
+                                  config.per_stream_start_s};
   std::function<void(std::size_t, std::size_t)> emit_frame =
       [&](std::size_t cam, std::size_t i) {
         const SceneTrace& trace = *cameras[cam];
-        const double frame_interval = 1.0 / trace.spec.fps;
-        const double phase =
-            config.stagger_cameras
-                ? frame_interval * static_cast<double>(cam) /
-                      static_cast<double>(cameras.size())
-                : 0.0;
-        const double capture = stream_start(cam) + phase +
-                               static_cast<double>(i) * frame_interval;
+        const double capture = capture_time(cam, i);
         const FrameRecord& frame = trace.eval_frame(i);
         for (std::size_t p = 0; p < frame.patches.size(); ++p) {
           const std::uint64_t id = next_patch_id++;
@@ -357,24 +389,13 @@ MultiStreamResult run_multistream(const std::vector<const SceneTrace*>& cameras,
             system.receive_patch(stream, patch);
           });
         }
-        if (i + 1 < trace.eval_frame_count()) {
-          const double next_capture = stream_start(cam) + phase +
-                                      static_cast<double>(i + 1) *
-                                          frame_interval;
-          sim.schedule_at(next_capture + config.edge_latency_s,
+        if (i + 1 < trace.eval_frame_count())
+          sim.schedule_at(capture_time(cam, i + 1) + config.edge_latency_s,
                           [&emit_frame, cam, i] { emit_frame(cam, i + 1); });
-        }
       };
   for (std::size_t cam = 0; cam < cameras.size(); ++cam) {
-    const SceneTrace& trace = *cameras[cam];
-    if (trace.eval_frame_count() == 0) continue;
-    const double frame_interval = 1.0 / trace.spec.fps;
-    const double phase =
-        config.stagger_cameras
-            ? frame_interval * static_cast<double>(cam) /
-                  static_cast<double>(cameras.size())
-            : 0.0;
-    sim.schedule_at(stream_start(cam) + phase + config.edge_latency_s,
+    if (cameras[cam]->eval_frame_count() == 0) continue;
+    sim.schedule_at(capture_time(cam, 0) + config.edge_latency_s,
                     [&emit_frame, cam] { emit_frame(cam, 0); });
   }
 

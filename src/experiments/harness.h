@@ -8,7 +8,10 @@
 //    SLO dynamics;
 //  * run_end_to_end(): the Fig. 12-14 methodology — cameras stream over a
 //    shared bandwidth-limited uplink into a live scheduler on the
-//    discrete-event simulator, with SLO-violation accounting;
+//    discrete-event simulator, with SLO-violation accounting.  Tangram is a
+//    core::TangramSystem with one invoker shard and one stream whose
+//    patches keep their per-camera SLOs; the baselines run on a
+//    harness-owned platform built from the same config;
 //  * run_multistream(): the scale-out scenario beyond the paper — N cameras
 //    registered as first-class streams on ONE TangramSystem facade (shared
 //    invoker + platform, cross-stream canvas stitching), with per-stream

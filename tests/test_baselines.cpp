@@ -220,43 +220,5 @@ TEST(MArkStrategy, FlushDrainsQueue) {
   EXPECT_EQ(platform.invocations(), 1u);
 }
 
-TEST(TangramStrategy, SplitsOversizedPatches) {
-  sim::Simulator sim;
-  serverless::FunctionPlatform platform(sim, fast_platform(),
-                                        deterministic_latency());
-  int patches_done = 0;
-  TangramOptions options;
-  TangramStrategy tangram(sim, platform, options,
-                          [&](const core::Patch&, const serverless::InvocationRecord&) {
-                            ++patches_done;
-                          });
-  core::Patch big = make_patch(1, 0.0, 1.0, {2100, 900});
-  big.region = {0, 0, 2100, 900};
-  tangram.on_patch(big);
-  sim.run();
-  tangram.flush();
-  sim.run();
-  EXPECT_EQ(patches_done, 3);  // tiled into three 700x900 sub-patches
-}
-
-TEST(TangramStrategy, EndToEndBatchCompletes) {
-  sim::Simulator sim;
-  serverless::FunctionPlatform platform(sim, fast_platform(),
-                                        deterministic_latency());
-  std::vector<std::uint64_t> done_ids;
-  TangramStrategy tangram(sim, platform, TangramOptions{},
-                          [&](const core::Patch& p, const serverless::InvocationRecord&) {
-                            done_ids.push_back(p.id);
-                          });
-  sim.schedule_at(0.0, [&] {
-    tangram.on_patch(make_patch(1, 0.0));
-    tangram.on_patch(make_patch(2, 0.0));
-    tangram.on_patch(make_patch(3, 0.0));
-  });
-  sim.run();
-  EXPECT_EQ(done_ids.size(), 3u);
-  EXPECT_EQ(platform.invocations(), 1u);  // all three stitched into one batch
-}
-
 }  // namespace
 }  // namespace tangram::baselines

@@ -82,16 +82,6 @@ TEST(InvokerPool, HashPolicySpreadsStreamsAcrossShards) {
   EXPECT_EQ(f.pool->shard_count(), 2u);
 }
 
-TEST(InvokerPool, CustomPolicyUsesKeyFn) {
-  PoolFixture f(ShardPolicy::custom([](StreamId, const StreamConfig& c) {
-    return c.name.substr(0, 1);  // shard by name prefix
-  }));
-  EXPECT_EQ(f.pool->route(0, {"north", 1.0}), 0);
-  EXPECT_EQ(f.pool->route(1, {"south", 1.0}), 1);
-  EXPECT_EQ(f.pool->route(2, {"nw", 2.0}), 0);
-  EXPECT_EQ(f.pool->shard_key(1), "s");
-}
-
 TEST(InvokerPool, RejectsBadConstruction) {
   sim::Simulator sim;
   auto model = deterministic_model();
@@ -102,9 +92,6 @@ TEST(InvokerPool, RejectsBadConstruction) {
                std::invalid_argument);
   EXPECT_THROW(InvokerPool(sim, StitchSolver(), estimator, InvokerConfig{},
                            ShardPolicy::hashed(0), [](int, Batch&&) {}),
-               std::invalid_argument);
-  EXPECT_THROW(InvokerPool(sim, StitchSolver(), estimator, InvokerConfig{},
-                           ShardPolicy::custom(nullptr), [](int, Batch&&) {}),
                std::invalid_argument);
 }
 
@@ -314,16 +301,17 @@ TEST(InvokerPoolSystem, RouterStampsShardOnStreamStats) {
   EXPECT_EQ(system.pool().shard_count(), 2u);
 }
 
-TEST(InvokerPoolSystem, LegacyInvokerAccessorGuardedUntilFirstShard) {
+TEST(InvokerPoolSystem, LazyShardExistsOnlyAfterFirstStream) {
   sim::Simulator sim;
   TangramSystem lazy(sim, system_config(ShardPolicy::per_slo_class()),
                      nullptr);
-  EXPECT_THROW((void)lazy.invoker(), std::logic_error);
+  EXPECT_EQ(lazy.pool().shard_count(), 0u);
+  EXPECT_THROW((void)lazy.pool().shard(0), std::out_of_range);
   (void)lazy.register_stream({"first", 1.0});
-  EXPECT_NO_THROW((void)lazy.invoker());
+  EXPECT_NO_THROW((void)lazy.pool().shard(0));
 
   TangramSystem eager(sim, system_config(ShardPolicy::single()), nullptr);
-  EXPECT_NO_THROW((void)eager.invoker());  // single() shard exists eagerly
+  EXPECT_NO_THROW((void)eager.pool().shard(0));  // single() shard is eager
 }
 
 TEST(InvokerPool, PerSloClassKeysAreExactNotSixDecimals) {
